@@ -19,15 +19,22 @@ object Amortization {
     * the partitioner is a net slowdown across the configurations.
     */
   def averageEpochs(tPart: Double, pairs: Seq[(Double, Double)]): Option[Double] = {
-    if (pairs.isEmpty) None
+    val savings = pairs.map { case (r, a) => r - a }
+    if (savings.sum <= 0) None
     else {
-      val savings = pairs.map { case (r, a) => r - a }
-      if (savings.sum <= 0) None
-      else {
-        val perConfig = pairs.flatMap { case (r, a) => epochs(tPart, r, a) }
-        if (perConfig.isEmpty) None else Some(perConfig.sum / perConfig.size)
-      }
+      // a positive sum has at least one positive saving, so perConfig is non-empty
+      val perConfig = pairs.flatMap { case (r, a) => epochs(tPart, r, a) }
+      Some(perConfig.sum / perConfig.size)
     }
+  }
+
+  /** One table cell from the per-cluster-size averages of [[averageEpochs]]:
+    * their mean, or "no" when fewer than half the cluster sizes amortize.
+    */
+  def overClusterSizes(perK: Seq[Option[Double]]): Option[Double] = {
+    val defined = perK.flatten
+    if (defined.size < perK.size / 2.0) None
+    else Some(defined.sum / defined.size)
   }
 
   def format(o: Option[Double]): String = o.map(e => f"$e%.2f").getOrElse("no")

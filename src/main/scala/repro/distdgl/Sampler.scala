@@ -53,7 +53,6 @@ object Sampler {
       fanouts: Seq[Int],
       gbs: Int,
       seed: Long,
-      splitSeed: Int = 42,
   ): Seq[WorkerSample] = {
     val perWorker = math.max(1, gbs / k)
     val owners = vertexDf.select(col("vid") as "v", col("part") as "owner")
@@ -62,7 +61,7 @@ object Sampler {
     // The ordering key is the shared arithmetic mix (same as FastSampler,
     // which must make identical decisions — tested for equality).
     val roots = GraphOps
-      .split(g, spark, splitSeed)
+      .split(g, spark)
       .filter(col("role") === "train")
       .join(vertexDf, "vid")
       .select(col("part") as "worker", col("vid") as "v")

@@ -15,8 +15,6 @@ final case class MachineEpoch(
 /** One simulated DistGNN epoch over a given edge partitioning. */
 final case class DistGnnEpoch(
     epochTime: Double,
-    forwardTime: Double,
-    backwardTime: Double,
     modelSyncTime: Double,
     totalNetworkBytes: Double,
     totalMemoryBytes: Double,
@@ -65,12 +63,9 @@ object DistGnnSim {
     }
     val modelSync = CostModel.allReduceTime(p.modelParams, q.k)
     val straggler = machines.map(m => m.computeTime + m.commTime).max
-    val fwdShare = 1.0 / 3.0 // forward is ~1/3 of compute, backward ~2/3
     val mems = machines.map(_.memoryBytes)
     DistGnnEpoch(
       epochTime = straggler + modelSync,
-      forwardTime = straggler * fwdShare,
-      backwardTime = straggler * (1 - fwdShare),
       modelSyncTime = modelSync,
       totalNetworkBytes = machines.map(_.networkBytes).sum,
       totalMemoryBytes = mems.sum,

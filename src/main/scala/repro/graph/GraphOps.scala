@@ -3,23 +3,15 @@ package repro.graph
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** DataFrame-level graph operations shared by metrics, sampling, and the
-  * stateless (pure-DataFrame) partitioners.
+/** DataFrame-level graph operations shared by the metrics and the Spark
+  * sampler.
   */
 object GraphOps {
 
-  /** Undirected degree per vertex: both endpoints of every edge count.
-    * Vertices with no edges appear with degree 0.
+  /** Seed of the train/val/test split; every metric and sampler reads the
+    * same split.
     */
-  def degrees(g: Graph, spark: SparkSession): DataFrame = {
-    val ends = g.edges
-      .select(col("src") as "vid")
-      .union(g.edges.select(col("dst") as "vid"))
-    g.vertices(spark)
-      .join(ends.groupBy("vid").agg(count(lit(1)) as "degree"), Seq("vid"), "left")
-      .na
-      .fill(0L, Seq("degree"))
-  }
+  private val splitSeed = 42
 
   /** Message-passing adjacency `(v, nbr)`: the neighbors whose state `v`
     * aggregates. For directed graphs a vertex aggregates its in-neighbors
@@ -36,8 +28,8 @@ object GraphOps {
     * hash of the vertex id. Returns `(vid, role)` with role in
     * {train, val, test}.
     */
-  def split(g: Graph, spark: SparkSession, seed: Int = 42): DataFrame = {
-    val bucket = pmod(hash(col("vid"), lit(seed)), lit(10))
+  def split(g: Graph, spark: SparkSession): DataFrame = {
+    val bucket = pmod(hash(col("vid"), lit(splitSeed)), lit(10))
     g.vertices(spark)
       .select(
         col("vid"),
@@ -46,9 +38,9 @@ object GraphOps {
   }
 
   /** Train-vertex flags as a driver array (for ByteGNN-style partitioning). */
-  def trainMask(g: Graph, spark: SparkSession, seed: Int = 42): Array[Boolean] = {
+  def trainMask(g: Graph, spark: SparkSession): Array[Boolean] = {
     val mask = new Array[Boolean](g.numVertices.toInt)
-    split(g, spark, seed)
+    split(g, spark)
       .filter(col("role") === "train")
       .select("vid")
       .collect()

@@ -1,7 +1,7 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.distdgl.{Sampler, WorkerSample}
+import org.apache.spark.sql.SparkSession
+import repro.distdgl.WorkerSample
 import repro.gnn.CostModel
 import repro.graph._
 import repro.metrics._
@@ -23,7 +23,6 @@ final case class VertexRun(
     k: Int,
     quality: VertexCutQuality,
     partTime: Double,
-    assignDf: DataFrame,
     assign: Array[Int],
 )
 
@@ -35,9 +34,6 @@ final case class VertexRun(
 object Experiments {
   import scala.collection.concurrent.TrieMap
 
-  /** Bench scale: 1.0 = 1/1000 of the paper's graphs (see Datasets). */
-  @volatile var scale: Double = 1.0
-
   /** Machine counts studied in the paper. */
   val machineCounts: Seq[Int] = Seq(4, 8, 16, 32)
 
@@ -45,7 +41,6 @@ object Experiments {
   val defaultGbs: Int = 64
 
   private val graphCache = TrieMap.empty[String, (Graph, CompactGraph)]
-  private val adjCache = TrieMap.empty[String, DataFrame]
   private val maskCache = TrieMap.empty[String, Array[Boolean]]
   private val edgeRunCache = TrieMap.empty[(String, String, Int), EdgeRun]
   private val vertexRunCache = TrieMap.empty[(String, String, Int), VertexRun]
@@ -53,18 +48,9 @@ object Experiments {
 
   def graph(spark: SparkSession, key: String): (Graph, CompactGraph) =
     graphCache.getOrElseUpdate(key, {
-      val g = Datasets.load(spark, key, scale)
+      val g = Datasets.load(spark, key)
       g.edges.cache().count()
       (g, g.compact())
-    })
-
-  /** Cached message adjacency of a graph (persisted in Spark). */
-  def adjacency(spark: SparkSession, key: String): DataFrame =
-    adjCache.getOrElseUpdate(key, {
-      val (g, _) = graph(spark, key)
-      val adj = GraphOps.adjacency(g).cache()
-      adj.count()
-      adj
     })
 
   def trainMask(spark: SparkSession, key: String): Array[Boolean] =
@@ -91,7 +77,7 @@ object Experiments {
 
   /** Partition `key` with the named vertex partitioner into k parts and
     * measure quality with Spark; memoized. The assignment DataFrame is
-    * cached for reuse by the sampler.
+    * cached while the metrics read it, then released.
     */
   def vertexRun(spark: SparkSession, key: String, algo: String, k: Int): VertexRun =
     vertexRunCache.getOrElseUpdate((key, algo, k), {
@@ -100,8 +86,8 @@ object Experiments {
       val res = p.partition(cg, k, trainMask(spark, key), seed = 7)
       val df = PartitionBridge.vertexDf(spark, res.part).cache()
       df.count()
-      val q = PartitionMetrics.vertexCutQuality(g, spark, df, k)
-      VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), df, res.part)
+      val q = try PartitionMetrics.vertexCutQuality(g, spark, df, k) finally df.unpersist()
+      VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), res.part)
     })
 
   /** One sampled synchronous step for every worker; memoized per

@@ -48,53 +48,73 @@ object Tables {
       s"(grid size = ${GnnConfig.grid().size} combinations)",
     ).mkString("\n")
 
+  // --------------------------------------------------------------- T4, T5
+  /** Epochs until amortization per (graph, partitioner); "no" is `None`. */
+  type AmortizationTable = Map[(String, String), Option[Double]]
+
+  /** Simulated epoch time of one (graph, algo, k, params). */
+  type EpochTime = (String, String, Int, GnnParams) => Double
+
+  /** (Random, algo) epoch-time pairs over `grid` for one (graph, algo, k). */
+  private def epochPairs(grid: Seq[GnnParams], epochTime: EpochTime, key: String, algo: String, k: Int)
+      : Seq[(Double, Double)] =
+    grid.map(p => (epochTime(key, "Random", k, p), epochTime(key, algo, k, p)))
+
+  /** Mean speedup of algo vs Random over `grid`. */
+  private def meanSpeedup(grid: Seq[GnnParams], epochTime: EpochTime, key: String, algo: String, k: Int): Double = {
+    val ratios = epochPairs(grid, epochTime, key, algo, k).map { case (r, a) => r / a }
+    ratios.sum / ratios.size
+  }
+
+  /** Tables 4 and 5: for every (graph, partitioner) and cluster size,
+    * [[Amortization.averageEpochs]] over `grid`, then
+    * [[Amortization.overClusterSizes]] over the cluster sizes.
+    */
+  def amortizationTable(
+      keys: Seq[String],
+      algos: Seq[String],
+      grid: Seq[GnnParams],
+      partTime: (String, String, Int) => Double,
+      epochTime: EpochTime,
+  ): AmortizationTable =
+    (for (key <- keys; algo <- algos) yield {
+      val perK = Experiments.machineCounts.map { k =>
+        Amortization.averageEpochs(partTime(key, algo, k), epochPairs(grid, epochTime, key, algo, k))
+      }
+      (key, algo) -> Amortization.overClusterSizes(perK)
+    }).toMap
+
+  def renderAmortizationTable(keys: Seq[String], algos: Seq[String], t: AmortizationTable): String = {
+    val header = ("Graph" +: algos).mkString(" | ")
+    val rows = keys.map { key =>
+      (key +: algos.map(a => Amortization.format(t((key, a))))).mkString(" | ")
+    }
+    (header +: rows).mkString("\n")
+  }
+
   // ------------------------------------------------------------------ T4
   val table4Algos: Seq[String] = Seq("DBH", "2PS-L", "HDRF", "HEP10", "HEP100")
+
+  /** The full Table 3 grid for GraphSage. */
+  val table4Grid: Seq[GnnParams] = GnnConfig.grid("GraphSage")
 
   /** DistGNN epoch time for one (graph, algo, k, params). */
   def distGnnEpochTime(spark: SparkSession, key: String, algo: String, k: Int, p: GnnParams): Double =
     DistGnnSim.epoch(Experiments.edgeRun(spark, key, algo, k).quality, p).epochTime
 
   /** Mean DistGNN speedup vs Random over the hyper-parameter grid. */
-  def distGnnSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double = {
-    val grid = GnnConfig.grid("GraphSage")
-    val ratios = grid.map { p =>
-      distGnnEpochTime(spark, key, "Random", k, p) / distGnnEpochTime(spark, key, algo, k, p)
-    }
-    ratios.sum / ratios.size
-  }
+  def distGnnSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double =
+    meanSpeedup(table4Grid, distGnnEpochTime(spark, _, _, _, _), key, algo, k)
 
   /** Table 4: epochs until amortization for DistGNN (full-batch GraphSage),
     * averaged over the hyper-parameter grid and the four cluster sizes.
     */
-  def table4(spark: SparkSession): Map[(String, String), Option[Double]] = {
-    val grid = GnnConfig.grid("GraphSage")
-    (for {
-      key <- Datasets.distGnnKeys
-      algo <- table4Algos
-    } yield {
-      val perK = Experiments.machineCounts.map { k =>
-        val tPart = Experiments.edgeRun(spark, key, algo, k).partTime
-        val pairs = grid.map { p =>
-          (distGnnEpochTime(spark, key, "Random", k, p), distGnnEpochTime(spark, key, algo, k, p))
-        }
-        Amortization.averageEpochs(tPart, pairs)
-      }
-      val defined = perK.flatten
-      val avg =
-        if (defined.size < perK.size / 2.0) None // mostly slowdown => "no"
-        else Some(defined.sum / defined.size)
-      (key, algo) -> avg
-    }).toMap
-  }
+  def table4(spark: SparkSession): AmortizationTable =
+    amortizationTable(Datasets.distGnnKeys, table4Algos, table4Grid,
+      (key, algo, k) => Experiments.edgeRun(spark, key, algo, k).partTime, distGnnEpochTime(spark, _, _, _, _))
 
-  def renderTable4(t: Map[(String, String), Option[Double]]): String = {
-    val header = ("Graph" +: table4Algos).mkString(" | ")
-    val rows = Datasets.distGnnKeys.map { key =>
-      (key +: table4Algos.map(a => Amortization.format(t((key, a))))).mkString(" | ")
-    }
-    (header +: rows).mkString("\n")
-  }
+  def renderTable4(t: AmortizationTable): String =
+    renderAmortizationTable(Datasets.distGnnKeys, table4Algos, t)
 
   // ------------------------------------------------------------------ T5
   val table5Algos: Seq[String] = Seq("ByteGNN", "KaHIP", "LDG", "Spinner", "Metis")
@@ -121,39 +141,14 @@ object Tables {
   }
 
   /** Mean DistDGL speedup vs Random over the Table 5 grid. */
-  def distDglSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double = {
-    val ratios = table5Grid.map { p =>
-      distDglEpochTime(spark, key, "Random", k, p) / distDglEpochTime(spark, key, algo, k, p)
-    }
-    ratios.sum / ratios.size
-  }
+  def distDglSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double =
+    meanSpeedup(table5Grid, distDglEpochTime(spark, _, _, _, _), key, algo, k)
 
   /** Table 5: epochs until amortization for DistDGL (mini-batch GraphSage). */
-  def table5(spark: SparkSession): Map[(String, String), Option[Double]] = {
-    (for {
-      key <- Datasets.distDglKeys
-      algo <- table5Algos
-    } yield {
-      val perK = Experiments.machineCounts.map { k =>
-        val tPart = Experiments.vertexRun(spark, key, algo, k).partTime
-        val pairs = table5Grid.map { p =>
-          (distDglEpochTime(spark, key, "Random", k, p), distDglEpochTime(spark, key, algo, k, p))
-        }
-        Amortization.averageEpochs(tPart, pairs)
-      }
-      val defined = perK.flatten
-      val avg =
-        if (defined.size < perK.size / 2.0) None
-        else Some(defined.sum / defined.size)
-      (key, algo) -> avg
-    }).toMap
-  }
+  def table5(spark: SparkSession): AmortizationTable =
+    amortizationTable(Datasets.distDglKeys, table5Algos, table5Grid,
+      (key, algo, k) => Experiments.vertexRun(spark, key, algo, k).partTime, distDglEpochTime(spark, _, _, _, _))
 
-  def renderTable5(t: Map[(String, String), Option[Double]]): String = {
-    val header = ("Graph" +: table5Algos).mkString(" | ")
-    val rows = Datasets.distDglKeys.map { key =>
-      (key +: table5Algos.map(a => Amortization.format(t((key, a))))).mkString(" | ")
-    }
-    (header +: rows).mkString("\n")
-  }
+  def renderTable5(t: AmortizationTable): String =
+    renderAmortizationTable(Datasets.distDglKeys, table5Algos, t)
 }

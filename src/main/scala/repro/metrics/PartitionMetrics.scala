@@ -1,6 +1,6 @@
 package repro.metrics
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.graph.{Graph, GraphOps}
 
@@ -71,18 +71,7 @@ object PartitionMetrics {
       .fill(0L)
       .collect()
     cov.unpersist()
-    val loads0 = perPartRows.map { r =>
-      EdgePartLoad(
-        r.getAs[Int]("part"),
-        r.getAs[Long]("edges"),
-        r.getAs[Long]("verts"),
-        r.getAs[Long]("syncVerts"),
-      )
-    }.toSeq
-    // empty partitions still count toward the balance denominators
-    val present = loads0.map(_.part).toSet
-    val loads = (loads0 ++ (0 until k).filterNot(present).map(p => EdgePartLoad(p, 0, 0, 0)))
-      .sortBy(_.part)
+    val loads = perPart(perPartRows, k, "edges", "verts", "syncVerts")(EdgePartLoad.apply)
     val sumV = loads.map(_.verts).sum
     EdgeCutQuality(
       k = k,
@@ -101,7 +90,6 @@ object PartitionMetrics {
       spark: SparkSession,
       vertexDf: DataFrame,
       k: Int,
-      splitSeed: Int = 42,
   ): VertexCutQuality = {
     val sp = vertexDf.withColumnRenamed("vid", "src").withColumnRenamed("part", "psrc")
     val dp = vertexDf.withColumnRenamed("vid", "dst").withColumnRenamed("part", "pdst")
@@ -113,7 +101,7 @@ object PartitionMetrics {
       .groupBy(col("psrc") as "part")
       .agg(count(lit(1)) as "localEdges")
     val train = GraphOps
-      .split(g, spark, splitSeed)
+      .split(g, spark)
       .filter(col("role") === "train")
       .join(vertexDf, "vid")
       .groupBy("part")
@@ -127,17 +115,7 @@ object PartitionMetrics {
       .fill(0L)
       .collect()
     edgesP.unpersist()
-    val loads0 = perPartRows.map { r =>
-      VertexPartLoad(
-        r.getAs[Int]("part"),
-        r.getAs[Long]("verts"),
-        r.getAs[Long]("trainVerts"),
-        r.getAs[Long]("localEdges"),
-      )
-    }.toSeq
-    val present = loads0.map(_.part).toSet
-    val loads = (loads0 ++ (0 until k).filterNot(present).map(p => VertexPartLoad(p, 0, 0, 0)))
-      .sortBy(_.part)
+    val loads = perPart(perPartRows, k, "verts", "trainVerts", "localEdges")(VertexPartLoad.apply)
     VertexCutQuality(
       k = k,
       numVertices = g.numVertices,
@@ -147,6 +125,22 @@ object PartitionMetrics {
       trainVertexBalance = balance(loads.map(_.trainVerts)),
       perPart = loads,
     )
+  }
+
+  /** One load per partition, in part order, from aggregated `(part, a, b, c)`
+    * rows. Parts in 0 until k without a row get zero loads: empty partitions
+    * still count toward the balance denominators.
+    */
+  private def perPart[L](rows: Array[Row], k: Int, a: String, b: String, c: String)(
+      load: (Int, Long, Long, Long) => L,
+  ): Seq[L] = {
+    val got = rows.map { r =>
+      r.getAs[Int]("part") -> (r.getAs[Long](a), r.getAs[Long](b), r.getAs[Long](c))
+    }.toMap
+    (got.keySet ++ (0 until k)).toSeq.sorted.map { p =>
+      val (x, y, z) = got.getOrElse(p, (0L, 0L, 0L))
+      load(p, x, y, z)
+    }
   }
 
   /** max / mean — 1.0 is perfectly balanced. */

@@ -1,7 +1,6 @@
 package repro.partition
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.CompactGraph
 
 /** Work counters accumulated while a partitioner runs. The amortization
@@ -63,10 +62,8 @@ trait VertexPartitioner {
   ): VertexPartitionResult
 }
 
-/** Deterministic arithmetic hashes shared by the driver-side partitioners
-  * and their pure-DataFrame twins, so both paths produce identical
-  * assignments (tested). Multipliers are small enough that products stay
-  * far below Long overflow under Spark 4's ANSI mode.
+/** Deterministic arithmetic hashes shared by the partitioners. Multipliers
+  * are small enough that products stay far below Long overflow.
   */
 object Mix {
   def edge(src: Long, dst: Long, seed: Long, k: Int): Int =
@@ -74,14 +71,6 @@ object Mix {
 
   def vertex(v: Long, seed: Long, k: Int): Int =
     (((v * 1000003L + seed * 7919L) % k + k) % k).toInt
-
-  /** Spark column expression equal to [[edge]]. */
-  def edgeCol(src: org.apache.spark.sql.Column, dst: org.apache.spark.sql.Column, seed: Long, k: Int) =
-    pmod(src * 1000003L + dst * 19349663L + lit(seed * 7919L), lit(k.toLong)).cast("int")
-
-  /** Spark column expression equal to [[vertex]]. */
-  def vertexCol(v: org.apache.spark.sql.Column, seed: Long, k: Int) =
-    pmod(v * 1000003L + lit(seed * 7919L), lit(k.toLong)).cast("int")
 }
 
 /** Driver assignment ⇄ DataFrame bridge: all partition-quality metrics and

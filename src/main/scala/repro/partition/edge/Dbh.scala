@@ -1,8 +1,6 @@
 package repro.partition.edge
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.graph.{CompactGraph, Graph, GraphOps}
+import repro.graph.CompactGraph
 import repro.partition._
 
 /** Degree-Based Hashing (Xie et al., NIPS 2014). Stateless streaming
@@ -25,24 +23,5 @@ object Dbh extends EdgePartitioner {
       i += 1
     }
     EdgePartitionResult(part, PartitionCost(edgesStreamed = g.numEdges))
-  }
-
-  /** Pure-DataFrame twin: join edges with degrees, hash the smaller-degree
-    * endpoint (ties break to `src`, matching the driver path).
-    */
-  def partitionDf(g: Graph, spark: SparkSession, k: Int, seed: Long): DataFrame = {
-    val deg = GraphOps.degrees(g, spark)
-    g.edges
-      .join(deg.withColumnRenamed("vid", "src").withColumnRenamed("degree", "sdeg"), "src")
-      .join(deg.withColumnRenamed("vid", "dst").withColumnRenamed("degree", "ddeg"), "dst")
-      .select(
-        col("src"),
-        col("dst"),
-        Mix.vertexCol(
-          when(col("sdeg") <= col("ddeg"), col("src")).otherwise(col("dst")),
-          seed,
-          k,
-        ) as "part",
-      )
   }
 }

@@ -1,8 +1,6 @@
 package repro.partition.edge
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
-import repro.graph.{CompactGraph, Graph}
+import repro.graph.CompactGraph
 import repro.partition._
 
 /** Stateless streaming vertex-cut baseline: each edge is hashed to a
@@ -22,14 +20,4 @@ object RandomEdge extends EdgePartitioner {
     }
     EdgePartitionResult(part, PartitionCost(edgesStreamed = g.numEdges))
   }
-
-  /** Pure-DataFrame twin of [[partition]] — identical assignment, computed
-    * distributed (tested for equality with the driver path).
-    */
-  def partitionDf(g: Graph, k: Int, seed: Long): DataFrame =
-    g.edges.select(
-      col("src"),
-      col("dst"),
-      Mix.edgeCol(col("src"), col("dst"), seed, k) as "part",
-    )
 }

@@ -1,8 +1,6 @@
 package repro.partition.vertex
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
-import repro.graph.{CompactGraph, Graph}
+import repro.graph.CompactGraph
 import repro.partition._
 
 /** Stateless streaming edge-cut baseline: each vertex is hashed to a
@@ -17,8 +15,4 @@ object RandomVertex extends VertexPartitioner {
     val part = Array.tabulate(g.numVertices)(v => Mix.vertex(v.toLong, seed, k))
     VertexPartitionResult(part, PartitionCost(edgesStreamed = g.numVertices))
   }
-
-  /** Pure-DataFrame twin (tested equal to the driver path). */
-  def partitionDf(g: Graph, spark: SparkSession, k: Int, seed: Long): DataFrame =
-    g.vertices(spark).select(col("vid"), Mix.vertexCol(col("vid"), seed, k) as "part")
 }

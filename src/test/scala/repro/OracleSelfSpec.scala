@@ -2,55 +2,29 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks of the provided DuckDB oracle + TPC-H-lite generators —
-  * the correctness infrastructure every metric test relies on.
+/** Sanity checks of the DuckDB oracle — the correctness infrastructure
+  * every metric test relies on — over a small test graph's edge table.
   */
 class OracleSelfSpec extends SparkSpec {
 
-  test("oracle agrees on a simple aggregate over lineitem") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val got = li.groupBy("l_returnflag").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(
-      got,
-      "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li,
-    )
+  private val outDegreeSql = "SELECT src, COUNT(*) AS cnt FROM edges GROUP BY src"
+
+  private def edges = TestGraphs.smallWeb(spark)._1.edges
+
+  test("oracle agrees on a simple aggregate over edges") {
+    Oracle.assertEquivalent(edges.groupBy("src").agg(count(lit(1)) as "cnt"), outDegreeSql, "edges" -> edges)
   }
 
   test("oracle catches a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val wrong = li.groupBy("l_returnflag").agg((count(lit(1)) + 1) as "cnt")
+    val wrong = edges.groupBy("src").agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        wrong,
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(wrong, outDegreeSql, "edges" -> edges)
     }
   }
 
   test("oracle catches a column-name mismatch") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
     intercept[IllegalArgumentException] {
-      Oracle.assertEquivalent(
-        li.groupBy("l_returnflag").agg(count(lit(1)) as "wrong_name"),
-        "SELECT l_returnflag, COUNT(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li,
-      )
+      Oracle.assertEquivalent(edges.groupBy("src").agg(count(lit(1)) as "wrong_name"), outDegreeSql, "edges" -> edges)
     }
-  }
-
-  test("synth data is deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, sf = 0.001, seed = 3)
-    val b = SynthData.orders(spark, sf = 0.001, seed = 3)
-    assert(a.except(b).count() === 0)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, 20000, 1000)
-    val u = SynthData.uniformKeys(spark, 20000, 1000)
-    val topZ = z.groupBy("k").count().orderBy(desc("count")).limit(1).head().getLong(1)
-    val topU = u.groupBy("k").count().orderBy(desc("count")).limit(1).head().getLong(1)
-    assert(topZ > 3 * topU, s"zipf top=$topZ uniform top=$topU")
   }
 }

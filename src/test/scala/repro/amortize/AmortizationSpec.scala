@@ -26,6 +26,18 @@ class AmortizationSpec extends AnyFunSuite {
     assert(Amortization.averageEpochs(10.0, Seq.empty) === None)
   }
 
+  test("overClusterSizes averages when half the cluster sizes amortize") {
+    assert(Amortization.overClusterSizes(Seq(Some(2.0), None, Some(4.0), None)) === Some(3.0))
+  }
+
+  test("overClusterSizes is None when fewer than half the cluster sizes amortize") {
+    assert(Amortization.overClusterSizes(Seq(None, Some(2.0), None, None)) === None)
+  }
+
+  test("overClusterSizes averages all cluster sizes when every one amortizes") {
+    assert(Amortization.overClusterSizes(Seq(Some(1.0), Some(2.0), Some(3.0), Some(6.0))) === Some(3.0))
+  }
+
   test("format renders 'no' for None and 2 decimals otherwise") {
     assert(Amortization.format(None) === "no")
     assert(Amortization.format(Some(3.14159)) === "3.14")

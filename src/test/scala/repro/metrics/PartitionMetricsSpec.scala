@@ -2,6 +2,7 @@ package repro.metrics
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.graph.GraphOps
 import repro.partition._
 import repro.partition.edge.RandomEdge
 import repro.partition.vertex.RandomVertex
@@ -46,6 +47,55 @@ class PartitionMetricsSpec extends SparkSpec {
          |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep))""".stripMargin,
       "ep" -> df,
     )
+  }
+
+  // a random assignment at k=4, and the same folded onto parts {0, 2} so
+  // that the empty parts 1 and 3 must be padded in the middle
+  private val assignments: Seq[(String, Array[Int] => Array[Int])] = Seq(
+    "random k=4" -> identity,
+    "parts {0, 2} of k=4" -> (_.map(p => 2 * (p % 2))),
+  )
+
+  for ((name, reshape) <- assignments) {
+    test(s"edgeCutQuality perPart matches the DuckDB oracle ($name)") {
+      val (g, cg) = TestGraphs.smallPowerLaw(spark)
+      val df = PartitionBridge.edgeDf(spark, cg, reshape(RandomEdge.partition(cg, 4, 3).part))
+      val q = PartitionMetrics.edgeCutQuality(g, df, 4)
+      Oracle.assertEquivalent(
+        spark.createDataFrame(q.perPart),
+        """WITH cov AS (SELECT DISTINCT CAST(part AS INTEGER) AS part, vid FROM (
+          |  SELECT part, src AS vid FROM ep UNION ALL SELECT part, dst AS vid FROM ep)),
+          |r AS (SELECT vid, COUNT(*) AS c FROM cov GROUP BY vid)
+          |SELECT p.part AS part,
+          |  (SELECT COUNT(*) FROM ep WHERE CAST(ep.part AS INTEGER) = p.part) AS edges,
+          |  (SELECT COUNT(*) FROM cov WHERE cov.part = p.part) AS verts,
+          |  (SELECT COUNT(*) FROM cov JOIN r ON cov.vid = r.vid
+          |   WHERE r.c >= 2 AND cov.part = p.part) AS syncVerts
+          |FROM (SELECT CAST(range AS INTEGER) AS part FROM range(4)) p""".stripMargin,
+        "ep" -> df,
+      )
+    }
+
+    test(s"vertexCutQuality perPart matches the DuckDB oracle ($name)") {
+      val (g, cg) = TestGraphs.smallWeb(spark)
+      val assign = RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part
+      val vdf = PartitionBridge.vertexDf(spark, reshape(assign))
+      val q = PartitionMetrics.vertexCutQuality(g, spark, vdf, 4)
+      Oracle.assertEquivalent(
+        spark.createDataFrame(q.perPart),
+        """WITH vp AS (SELECT vid, CAST(part AS INTEGER) AS part FROM vp_raw)
+          |SELECT p.part AS part,
+          |  (SELECT COUNT(*) FROM vp WHERE vp.part = p.part) AS verts,
+          |  (SELECT COUNT(*) FROM vp JOIN split s ON vp.vid = s.vid
+          |   WHERE s.role = 'train' AND vp.part = p.part) AS trainVerts,
+          |  (SELECT COUNT(*) FROM edges e JOIN vp a ON e.src = a.vid JOIN vp b ON e.dst = b.vid
+          |   WHERE a.part = p.part AND b.part = p.part) AS localEdges
+          |FROM (SELECT CAST(range AS INTEGER) AS part FROM range(4)) p""".stripMargin,
+        "edges" -> g.edges,
+        "vp_raw" -> vdf,
+        "split" -> GraphOps.split(g, spark),
+      )
+    }
   }
 
   test("edge balance >= 1 and vertex balance >= 1") {
