@@ -31,8 +31,8 @@ final case class Graph(
 
   /** Collect to a driver-side CSR for the sequential partitioners. */
   def compact(): CompactGraph = {
+    val n = Math.toIntExact(numVertices)
     val rows = edges.select("src", "dst").collect()
-    val n = numVertices.toInt
     val src = new Array[Int](rows.length)
     val dst = new Array[Int](rows.length)
     var i = 0

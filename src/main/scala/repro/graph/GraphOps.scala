@@ -39,7 +39,7 @@ object GraphOps {
 
   /** Train-vertex flags as a driver array (for ByteGNN-style partitioning). */
   def trainMask(g: Graph, spark: SparkSession): Array[Boolean] = {
-    val mask = new Array[Boolean](g.numVertices.toInt)
+    val mask = new Array[Boolean](Math.toIntExact(g.numVertices))
     split(g, spark)
       .filter(col("role") === "train")
       .select("vid")

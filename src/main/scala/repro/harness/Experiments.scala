@@ -76,17 +76,15 @@ object Experiments {
     })
 
   /** Partition `key` with the named vertex partitioner into k parts and
-    * measure quality with Spark; memoized. The assignment DataFrame is
-    * cached while the metrics read it, then released.
+    * measure quality with Spark; memoized.
     */
   def vertexRun(spark: SparkSession, key: String, algo: String, k: Int): VertexRun =
     vertexRunCache.getOrElseUpdate((key, algo, k), {
       val (g, cg) = graph(spark, key)
       val p = Partitioners.vertexPartitioner(algo)
       val res = p.partition(cg, k, trainMask(spark, key), seed = 7)
-      val df = PartitionBridge.vertexDf(spark, res.part).cache()
-      df.count()
-      val q = try PartitionMetrics.vertexCutQuality(g, spark, df, k) finally df.unpersist()
+      val df = PartitionBridge.vertexDf(spark, res.part)
+      val q = PartitionMetrics.vertexCutQuality(g, spark, df, k)
       VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), res.part)
     })
 

@@ -73,8 +73,9 @@ object Mix {
     (((v * 1000003L + seed * 7919L) % k + k) % k).toInt
 }
 
-/** Driver assignment ⇄ DataFrame bridge: all partition-quality metrics and
-  * the training simulators consume assignments as DataFrames.
+/** Driver assignment → DataFrame bridge: the partition-quality metrics
+  * consume assignments as DataFrames. The training simulators do not; they
+  * read the metrics' `EdgeCutQuality` and the sampler's `WorkerSample`.
   */
 object PartitionBridge {
 

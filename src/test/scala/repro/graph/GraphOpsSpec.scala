@@ -48,6 +48,12 @@ class GraphOpsSpec extends SparkSpec {
     assert(a.except(b).count() === 0)
   }
 
+  test("compact fails loudly when numVertices does not fit in an Int") {
+    val noEdges = spark.range(0).select(col("id") as "src", col("id") as "dst")
+    val g = Graph("huge", "Web", directed = true, Int.MaxValue + 1L, noEdges)
+    intercept[ArithmeticException](g.compact())
+  }
+
   test("trainMask agrees with split") {
     val (g, _) = TestGraphs.smallGrid(spark)
     val mask = GraphOps.trainMask(g, spark)
