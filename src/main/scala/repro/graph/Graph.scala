@@ -29,7 +29,9 @@ final case class Graph(
   /** Number of edges (cached on first call by the caller if needed). */
   lazy val numEdges: Long = edges.count()
 
-  /** Collect to a driver-side CSR for the sequential partitioners. */
+  /** Collect to a driver-side CSR for the sequential partitioners. Throws
+    * if an endpoint lies outside `[0, numVertices)`.
+    */
   def compact(): CompactGraph = {
     val n = Math.toIntExact(numVertices)
     val rows = edges.select("src", "dst").collect()
@@ -37,8 +39,11 @@ final case class Graph(
     val dst = new Array[Int](rows.length)
     var i = 0
     while (i < rows.length) {
-      src(i) = rows(i).getLong(0).toInt
-      dst(i) = rows(i).getLong(1).toInt
+      val s = rows(i).getLong(0); val d = rows(i).getLong(1)
+      require(s >= 0 && s < n && d >= 0 && d < n,
+        s"$name: edge ($s, $d) has an endpoint outside [0, $n)")
+      src(i) = s.toInt
+      dst(i) = d.toInt
       i += 1
     }
     new CompactGraph(n, src, dst, directed)

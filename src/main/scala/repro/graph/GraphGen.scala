@@ -97,18 +97,21 @@ object GraphGen {
           greatest(col("a"), col("b")) as "dst",
         )
     }
-    var edges = chunk(seed, (numE * 1.5).toLong).dropDuplicates("src", "dst").cache()
-    var have = edges.count()
-    var round = 1
-    while (have < numE && round < 8) {
-      edges = edges
-        .union(chunk(seed + 1000L * round, (numE * 1.5).toLong))
+    val rounds = scala.collection.mutable.ArrayBuffer(
+      chunk(seed, (numE * 1.5).toLong).dropDuplicates("src", "dst").cache())
+    var have = rounds.last.count()
+    while (have < numE && rounds.length < 8) {
+      rounds += rounds.last
+        .union(chunk(seed + 1000L * rounds.length, (numE * 1.5).toLong))
         .dropDuplicates("src", "dst")
         .cache()
-      have = edges.count()
-      round += 1
+      have = rounds.last.count()
     }
-    val trimmed = edges.orderBy("src", "dst").limit(numE.toInt).cache()
+    // Materialize the result before releasing the rounds it was built from,
+    // so that unpersisting them neither drops nor recomputes it.
+    val trimmed = rounds.last.orderBy("src", "dst").limit(numE.toInt).cache()
+    trimmed.count()
+    rounds.foreach(_.unpersist())
     Graph(name, gtype, directed, numV, trimmed)
   }
 

@@ -1,5 +1,6 @@
 package repro.partition
 
+import java.util.Arrays.copyOfRange
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.CompactGraph
 
@@ -76,20 +77,38 @@ object Mix {
 /** Driver assignment → DataFrame bridge: the partition-quality metrics
   * consume assignments as DataFrames. The training simulators do not; they
   * read the metrics' `EdgeCutQuality` and the sampler's `WorkerSample`.
+  *
+  * The driver never builds a row object. It cuts its primitive arrays into
+  * `defaultParallelism` contiguous slices, ships one slice per partition,
+  * and the executors expand each slice into rows.
   */
 object PartitionBridge {
 
   /** `(src, dst, part)` — one row per edge, driver assignment attached. */
   def edgeDf(spark: SparkSession, g: CompactGraph, assign: Array[Int]): DataFrame = {
     import spark.implicits._
-    val rows = g.src.indices.map(i => (g.src(i).toLong, g.dst(i).toLong, assign(i)))
-    spark.createDataset(rows).toDF("src", "dst", "part")
+    val slices = bounds(spark, g.numEdges).map { case (from, until) =>
+      (copyOfRange(g.src, from, until), copyOfRange(g.dst, from, until), copyOfRange(assign, from, until))
+    }
+    spark.sparkContext.parallelize(slices, slices.length)
+      .flatMap { case (s, d, p) => Iterator.tabulate(s.length)(i => (s(i).toLong, d(i).toLong, p(i))) }
+      .toDF("src", "dst", "part")
   }
 
   /** `(vid, part)` — one row per vertex. */
   def vertexDf(spark: SparkSession, assign: Array[Int]): DataFrame = {
     import spark.implicits._
-    spark.createDataset(assign.toIndexedSeq.zipWithIndex.map { case (p, v) => (v.toLong, p) })
+    val slices = bounds(spark, assign.length).map { case (from, until) =>
+      (from, copyOfRange(assign, from, until))
+    }
+    spark.sparkContext.parallelize(slices, slices.length)
+      .flatMap { case (from, p) => Iterator.tabulate(p.length)(i => ((from + i).toLong, p(i))) }
       .toDF("vid", "part")
+  }
+
+  /** `[from, until)` of each of `defaultParallelism` contiguous slices of `n` rows. */
+  private def bounds(spark: SparkSession, n: Int): Seq[(Int, Int)] = {
+    val slices = spark.sparkContext.defaultParallelism
+    (0 until slices).map(i => ((i.toLong * n / slices).toInt, ((i + 1L) * n / slices).toInt))
   }
 }

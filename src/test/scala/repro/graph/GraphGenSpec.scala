@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestGraphs}
 
 class GraphGenSpec extends SparkSpec {
@@ -48,6 +49,15 @@ class GraphGenSpec extends SparkSpec {
     val a = GraphGen.powerLaw(spark, "A", "t", 200, 800, 0.9, directed = false, seed = 5)
     val b = GraphGen.powerLaw(spark, "B", "t", 200, 800, 0.9, directed = false, seed = 6)
     assert(a.edges.except(b.edges).count() > 0)
+  }
+
+  test("powerLaw: only the returned edge table stays cached") {
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    // 1000 of the 1770 possible edges on 60 vertices: the first round's
+    // skewed draws collapse under dedup below the target, so a top-up round runs.
+    val g = GraphGen.powerLaw(spark, "T", "t", 60, 1000, 0.9, directed = false, seed = 9)
+    assert((spark.sparkContext.getPersistentRDDs.keySet -- before).size === 1)
+    assert(g.edges.storageLevel !== StorageLevel.NONE)
   }
 
   test("powerLaw: degree distribution is skewed (hub much above mean)") {

@@ -54,6 +54,16 @@ class GraphOpsSpec extends SparkSpec {
     intercept[ArithmeticException](g.compact())
   }
 
+  test("compact fails loudly on an endpoint outside [0, numVertices)") {
+    import spark.implicits._
+    // 4294967297 would narrow to vertex 1 if it were cast to Int unchecked.
+    for (bad <- Seq(4L, 4294967297L)) {
+      val g = Graph("bad", "Web", directed = true, 4, Seq((0L, bad)).toDF("src", "dst"))
+      val e = intercept[IllegalArgumentException](g.compact())
+      assert(e.getMessage.contains(s"(0, $bad)"))
+    }
+  }
+
   test("trainMask agrees with split") {
     val (g, _) = TestGraphs.smallGrid(spark)
     val mask = GraphOps.trainMask(g, spark)
