@@ -1,9 +1,9 @@
 package repro.distdgl
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.{Graph, GraphOps}
+import repro.graph.GraphOps
 
 /** Measured mini-batch sample of one worker in one training step.
   *
@@ -45,8 +45,6 @@ object Sampler {
     * @param gbs      global batch size; each worker draws ≈ gbs/k roots
     */
   def sampleStep(
-      g: Graph,
-      spark: SparkSession,
       adj: DataFrame,
       vertexDf: DataFrame,
       k: Int,
@@ -60,10 +58,8 @@ object Sampler {
     // batch roots: per worker, a seeded draw of local training vertices.
     // The ordering key is the shared arithmetic mix (same as FastSampler,
     // which must make identical decisions — tested for equality).
-    val roots = GraphOps
-      .split(g, spark)
-      .filter(col("role") === "train")
-      .join(vertexDf, "vid")
+    val roots = vertexDf
+      .filter(GraphOps.isTrain(col("vid")))
       .select(col("part") as "worker", col("vid") as "v")
       .withColumn("rn", row_number().over(
         Window.partitionBy("worker").orderBy(SampleOrder.col(col("v"), seed), col("v"))))
@@ -89,27 +85,19 @@ object Sampler {
       frontiers += frontier
     }
 
-    val hopLit = (df: DataFrame, t: Int) => df.withColumn("hop", lit(t))
+    // rows per (worker, hop) of frames(i), which is hop firstHop + i
+    def countsPerHop(frames: Seq[DataFrame], firstHop: Int): Map[(Int, Int), Long] =
+      frames.zipWithIndex
+        .map { case (df, i) => df.select(col("worker"), lit(firstHop + i) as "hop") }
+        .reduce(_ union _)
+        .groupBy("worker", "hop")
+        .agg(count(lit(1)) as "n")
+        .collect()
+        .map(r => (r.getAs[Int]("worker"), r.getAs[Int]("hop")) -> r.getAs[Long]("n"))
+        .toMap
 
-    // edges sampled per (worker, hop)
-    val edgeCounts = sampledHops.zipWithIndex
-      .map { case (df, t) => hopLit(df.select("worker"), t + 1) }
-      .reduce(_ union _)
-      .groupBy("worker", "hop")
-      .agg(count(lit(1)) as "n")
-      .collect()
-      .map(r => (r.getAs[Int]("worker"), r.getAs[Int]("hop")) -> r.getAs[Long]("n"))
-      .toMap
-
-    // frontier sizes per (worker, hop), hop 0 = roots
-    val frontierCounts = frontiers.zipWithIndex
-      .map { case (df, t) => hopLit(df.select("worker"), t) }
-      .reduce(_ union _)
-      .groupBy("worker", "hop")
-      .agg(count(lit(1)) as "n")
-      .collect()
-      .map(r => (r.getAs[Int]("worker"), r.getAs[Int]("hop")) -> r.getAs[Long]("n"))
-      .toMap
+    val edgeCounts = countsPerHop(sampledHops.toSeq, 1)
+    val frontierCounts = countsPerHop(frontiers.toSeq, 0) // hop 0 = roots
 
     // remote expansions: frontiers 0 … L-1 are the sets we sample *from*
     val remoteExpanded = frontiers.dropRight(1)

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 
 /** A graph held as a Spark DataFrame of edges plus metadata.
   *
@@ -20,12 +20,6 @@ final case class Graph(
     numVertices: Long,
     edges: DataFrame,
 ) {
-  /** Vertex table `vid: long` — derived, dense ids. */
-  def vertices(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    spark.range(numVertices).toDF("vid")
-  }
-
   /** Number of edges (cached on first call by the caller if needed). */
   lazy val numEdges: Long = edges.count()
 

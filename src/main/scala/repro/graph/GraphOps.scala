@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 /** DataFrame-level graph operations shared by the metrics and the Spark
@@ -8,8 +8,8 @@ import org.apache.spark.sql.functions._
   */
 object GraphOps {
 
-  /** Seed of the train/val/test split; every metric and sampler reads the
-    * same split.
+  /** Seed of the training split; every metric and sampler reads the same
+    * split.
     */
   private val splitSeed = 42
 
@@ -24,27 +24,21 @@ object GraphOps {
     else in.union(g.edges.select(col("src") as "v", col("dst") as "nbr"))
   }
 
-  /** The paper's split: 10% train / 10% val / 80% test, chosen by a seeded
-    * hash of the vertex id. Returns `(vid, role)` with role in
-    * {train, val, test}.
+  /** The paper's 10% training split: whether vertex `vid` is a training
+    * vertex, chosen by a seeded hash of its id. The one definition every
+    * metric, sampler and partitioner reads.
     */
-  def split(g: Graph, spark: SparkSession): DataFrame = {
-    val bucket = pmod(hash(col("vid"), lit(splitSeed)), lit(10))
-    g.vertices(spark)
-      .select(
-        col("vid"),
-        when(bucket === 0, "train").when(bucket === 1, "val").otherwise("test") as "role",
-      )
-  }
+  def isTrain(vid: Column): Column = pmod(hash(vid, lit(splitSeed)), lit(10)) === 0
 
-  /** Train-vertex flags as a driver array (for ByteGNN-style partitioning). */
+  /** Train-vertex flags as a driver array, for the driver-side partitioners
+    * and `FastSampler`.
+    */
   def trainMask(g: Graph, spark: SparkSession): Array[Boolean] = {
     val mask = new Array[Boolean](Math.toIntExact(g.numVertices))
-    split(g, spark)
-      .filter(col("role") === "train")
-      .select("vid")
+    spark.range(g.numVertices)
+      .filter(isTrain(col("id")))
       .collect()
-      .foreach(r => mask(r.getLong(0).toInt) = true)
+      .foreach(id => mask(id.toInt) = true)
     mask
   }
 }

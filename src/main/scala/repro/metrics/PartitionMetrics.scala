@@ -81,8 +81,12 @@ object PartitionMetrics {
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut). One row per vertex and
-    * one row per edge (at its source's part) feed a single `groupBy(part)`.
+  /** Metrics of a vertex partitioning (edge-cut). One row per vertex (with
+    * its [[GraphOps.isTrain]] flag) and one row per edge (at its source's
+    * part) feed a single `groupBy(part)`.
+    *
+    * `spark` is unused; it stays in the signature because the pipeline
+    * benchmark calls this function with four arguments.
     */
   def vertexCutQuality(
       g: Graph,
@@ -91,8 +95,7 @@ object PartitionMetrics {
       k: Int,
   ): VertexCutQuality = {
     val vertexRows = vertexDf
-      .join(GraphOps.split(g, spark), "vid")
-      .select(col("part"), lit(1L) as "v", (col("role") === "train").cast(LongType) as "t",
+      .select(col("part"), lit(1L) as "v", GraphOps.isTrain(col("vid")).cast(LongType) as "t",
         lit(0L) as "local", lit(0L) as "cut")
     val sp = vertexDf.withColumnRenamed("vid", "src").withColumnRenamed("part", "psrc")
     val dp = vertexDf.withColumnRenamed("vid", "dst").withColumnRenamed("part", "pdst")

@@ -21,7 +21,7 @@ import repro.partition._
   * paper evaluates τ = 10 (HEP10) and τ = 100 (HEP100, effectively fully
   * in-memory).
   */
-final class Hep(tau: Double, neExpandFactor: Double) extends EdgePartitioner {
+final class Hep(tau: Double) extends EdgePartitioner {
   val name = s"HEP${tau.toInt}"
   val category = "Hybrid partitioning"
 
@@ -32,10 +32,10 @@ final class Hep(tau: Double, neExpandFactor: Double) extends EdgePartitioner {
     val threshold = tau * mean
     // NE expands only vertices below this and hands an edge to the
     // streaming phase when its far endpoint is above it and not yet
-    // covered by the growing partition (hub deferral). A more selective
-    // NE (smaller factor) keeps partitions tighter — HEP100's larger
-    // in-memory budget buys exactly this selectivity.
-    val hubThresh = math.min(threshold, neExpandFactor * mean)
+    // covered by the growing partition (hub deferral). The cap at
+    // NeExpandFactor · mean keeps NE selective, and so the partitions
+    // tight, even when τ is large (HEP100).
+    val hubThresh = math.min(threshold, Hep.NeExpandFactor * mean)
     val high = Array.tabulate(g.numVertices)(v => deg(v) > threshold)
     val part = new Array[Int](g.numEdges)
     java.util.Arrays.fill(part, -1)
@@ -175,12 +175,17 @@ final class Hep(tau: Double, neExpandFactor: Double) extends EdgePartitioner {
 }
 
 object Hep {
+  /** NE expands vertices of degree up to this multiple of the mean degree
+    * (capped by the high-degree threshold τ · mean).
+    */
+  private val NeExpandFactor = 10.0
+
   /** τ = 10: a noticeable share of edges is streamed. */
-  val hep10 = new Hep(10, neExpandFactor = 10)
+  val hep10 = new Hep(10)
 
   /** τ = 100: effectively fully in-memory — NE may claim hub edges once
     * the hub is covered by the growing partition (HEP10 must stream every
     * hub edge), which is what the larger memory budget buys.
     */
-  val hep100 = new Hep(100, neExpandFactor = 10)
+  val hep100 = new Hep(100)
 }

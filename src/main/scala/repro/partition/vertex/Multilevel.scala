@@ -38,20 +38,24 @@ final class Multilevel(
   )
 
   def partition(g: CompactGraph, k: Int, trainMask: Array[Boolean], seed: Long): VertexPartitionResult = {
+    // Level 0 from the CompactGraph (unit weights, one entry per edge end).
+    // Read-only, so every hierarchy and the LPA candidate share it.
+    val base = LGraph(g.numVertices, g.adjOff, g.adjNbr,
+      Array.fill(g.adjNbr.length)(1L), Array.fill(g.numVertices)(1L))
     var totalOps = 0L
     var bestPart: Array[Int] = null
     var bestCut = Long.MaxValue
 
     def consider(part: Array[Int], ops: Long): Unit = {
       totalOps += ops
-      val cut = baseCut(g, part)
+      val cut = cutWeight(base, part)
       if (cut < bestCut) { bestCut = cut; bestPart = part }
     }
 
     // several full multilevel hierarchies with different matching orders
     var outer = 0
     while (outer < outerRestarts) {
-      val r = onePass(g, k, seed + 7777L * outer)
+      val r = onePass(base, k, seed + 7777L * outer)
       consider(r.part, r.cost.heavyOps)
       outer += 1
     }
@@ -61,8 +65,6 @@ final class Multilevel(
     // sometimes misses on dense graphs (KaFFPa uses LPA the same way)
     if (lpaCandidate) {
       val lpa = Spinner.partition(g, k, trainMask, seed + 31)
-      val base = LGraph(g.numVertices, g.adjOff, g.adjNbr,
-        Array.fill(g.adjNbr.length)(1L), Array.fill(g.numVertices)(1L))
       val part = lpa.part.clone()
       val ops = refine(base, part, k, refinePasses)
       consider(part, lpa.cost.heavyOps + ops)
@@ -71,23 +73,8 @@ final class Multilevel(
     VertexPartitionResult(bestPart, PartitionCost(heavyOps = totalOps, passes = outerRestarts))
   }
 
-  /** Cut size of an assignment on the original graph. */
-  private def baseCut(g: CompactGraph, part: Array[Int]): Long = {
-    var cut = 0L
-    var i = 0
-    while (i < g.numEdges) {
-      if (part(g.src(i)) != part(g.dst(i))) cut += 1
-      i += 1
-    }
-    cut
-  }
-
-  private def onePass(g: CompactGraph, k: Int, seed: Long): VertexPartitionResult = {
+  private def onePass(base: LGraph, k: Int, seed: Long): VertexPartitionResult = {
     var heavyOps = 0L
-
-    // Level 0 from the CompactGraph (unit weights; parallel edges collapse).
-    val base = LGraph(g.numVertices, g.adjOff, g.adjNbr,
-      Array.fill(g.adjNbr.length)(1L), Array.fill(g.numVertices)(1L))
 
     // ---- Coarsening ----------------------------------------------------
     var levels = List((base, null: Array[Int])) // (graph, fine→coarse map of level below)
@@ -95,7 +82,7 @@ final class Multilevel(
     var level = 0
     // cap super-vertex weight so the coarsest graph stays partitionable
     // into k balanced parts (the standard METIS maxvwgt constraint)
-    val maxVw = math.max(1L, (1.5 * g.numVertices / math.max(coarsestSize, 4 * k)).toLong)
+    val maxVw = math.max(1L, (1.5 * base.n / math.max(coarsestSize, 4 * k)).toLong)
     while (cur.n > math.max(coarsestSize, 4 * k) && level < 30) {
       val (coarse, cmap, ops) = coarsen(cur, seed + level, maxVw)
       heavyOps += ops
@@ -294,6 +281,9 @@ final class Multilevel(
     ops
   }
 
+  /** Total weight of the edges whose ends lie in different parts. Each
+    * edge appears once from each end of the adjacency, hence the halving.
+    */
   private def cutWeight(lg: LGraph, part: Array[Int]): Long = {
     var cut = 0L
     var v = 0

@@ -51,6 +51,22 @@ class GraphGenSpec extends SparkSpec {
     assert(a.edges.except(b.edges).count() > 0)
   }
 
+  test("powerLaw: the same graph under any leaf-node parallelism") {
+    val conf = "spark.sql.leafNodeDefaultParallelism"
+    def edgesAt(parallelism: Int): Set[(Long, Long)] =
+      try {
+        spark.conf.set(conf, parallelism.toLong)
+        val g = GraphGen.powerLaw(spark, "P", "t", 200, 800, 0.9, directed = true, seed = 5)
+        val edges = g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+        g.edges.unpersist()
+        edges
+      } finally spark.conf.unset(conf)
+    val (a, b) = (edgesAt(2), edgesAt(7))
+    // compare counts, so that a failure does not print both edge sets
+    val differ = (a diff b).size + (b diff a).size
+    assert(differ === 0, s"edges differ between the two graphs of ${a.size} and ${b.size} edges")
+  }
+
   test("powerLaw: only the returned edge table stays cached") {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     // 1000 of the 1770 possible edges on 60 vertices: the first round's

@@ -24,28 +24,17 @@ class GraphOpsSpec extends SparkSpec {
     )
   }
 
-  test("split covers every vertex exactly once") {
-    val (g, _) = TestGraphs.smallPowerLaw(spark)
-    val s = GraphOps.split(g, spark)
-    assert(s.count() === g.numVertices)
-    assert(s.select("vid").distinct().count() === g.numVertices)
-  }
-
-  test("split proportions are ~10/10/80") {
+  test("about 10% of the vertices are training vertices") {
     val (g, _) = TestGraphs.smallGrid(spark) // 400 vertices
-    val byRole = GraphOps.split(g, spark).groupBy("role").count().collect()
-      .map(r => r.getString(0) -> r.getLong(1)).toMap
-    val n = g.numVertices.toDouble
-    assert(byRole("train") / n > 0.05 && byRole("train") / n < 0.15)
-    assert(byRole("val") / n > 0.05 && byRole("val") / n < 0.15)
-    assert(byRole("test") / n > 0.70)
+    val mask = GraphOps.trainMask(g, spark)
+    assert(mask.length === g.numVertices)
+    val frac = mask.count(identity).toDouble / mask.length
+    assert(frac > 0.05 && frac < 0.15, s"train fraction $frac")
   }
 
-  test("split is deterministic in the seed") {
+  test("trainMask is deterministic") {
     val (g, _) = TestGraphs.smallPowerLaw(spark)
-    val a = GraphOps.split(g, spark)
-    val b = GraphOps.split(g, spark)
-    assert(a.except(b).count() === 0)
+    assert(GraphOps.trainMask(g, spark) sameElements GraphOps.trainMask(g, spark))
   }
 
   test("compact fails loudly when numVertices does not fit in an Int") {
@@ -62,13 +51,5 @@ class GraphOpsSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](g.compact())
       assert(e.getMessage.contains(s"(0, $bad)"))
     }
-  }
-
-  test("trainMask agrees with split") {
-    val (g, _) = TestGraphs.smallGrid(spark)
-    val mask = GraphOps.trainMask(g, spark)
-    val trainSet = GraphOps.split(g, spark).filter(col("role") === "train")
-      .select("vid").collect().map(_.getLong(0).toInt).toSet
-    mask.zipWithIndex.foreach { case (m, v) => assert(m === trainSet.contains(v)) }
   }
 }

@@ -56,19 +56,20 @@ class PartitionMetricsSpec extends SparkSpec {
       val assign = RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part
       val vdf = PartitionBridge.vertexDf(spark, reshape(assign))
       val q = PartitionMetrics.vertexCutQuality(g, spark, vdf, 4)
+      val train = GraphOps.trainMask(g, spark).zipWithIndex.collect { case (true, v) => v.toLong }
       Oracle.assertEquivalent(
         spark.createDataFrame(q.perPart),
         """WITH vp AS (SELECT vid, CAST(part AS INTEGER) AS part FROM vp_raw)
           |SELECT p.part AS part,
           |  (SELECT COUNT(*) FROM vp WHERE vp.part = p.part) AS verts,
-          |  (SELECT COUNT(*) FROM vp JOIN split s ON vp.vid = s.vid
-          |   WHERE s.role = 'train' AND vp.part = p.part) AS trainVerts,
+          |  (SELECT COUNT(*) FROM vp JOIN train t ON vp.vid = t.vid
+          |   WHERE vp.part = p.part) AS trainVerts,
           |  (SELECT COUNT(*) FROM edges e JOIN vp a ON e.src = a.vid JOIN vp b ON e.dst = b.vid
           |   WHERE a.part = p.part AND b.part = p.part) AS localEdges
           |FROM (SELECT CAST(range AS INTEGER) AS part FROM range(4)) p""".stripMargin,
         "edges" -> g.edges,
         "vp_raw" -> vdf,
-        "split" -> GraphOps.split(g, spark),
+        "train" -> spark.createDataFrame(train.toSeq.map(Tuple1(_))).toDF("vid"),
       )
     }
   }
