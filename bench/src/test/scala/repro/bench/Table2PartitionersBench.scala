@@ -10,7 +10,7 @@ class Table2PartitionersBench extends BenchSpec {
     banner("Table 2: Partitioning algorithms")
     println(Tables.renderTable2)
 
-    val rows = Tables.table2
+    val rows = Partitioners.table2
     assert(rows.size === 12)
     assert(rows.count(_._2 == "vertex-cut") === 6)
     assert(rows.count(_._2 == "edge-cut") === 6)

@@ -28,7 +28,7 @@ final case class DistDglEpoch(
 
 /** Mini-batch training simulator in the style of DistDGL (Zheng et al.,
   * IA3 2020): each synchronous step, every worker samples a mini-batch from
-  * its local training vertices (measured by [[Sampler]]), fetches remote
+  * its local training vertices (measured by [[FastSampler]]), fetches remote
   * input features, runs forward/backward, and all-reduces gradients.
   *
   * The phase structure mirrors the paper's measurement: (1) mini-batch

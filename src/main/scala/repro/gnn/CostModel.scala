@@ -66,10 +66,12 @@ object CostModel {
     "KaHIP" -> 2.4,
   )
 
-  /** Simulated partitioning time (s) from the counted work. */
+  /** Simulated partitioning time (s) from the counted work. Throws on an
+    * algorithm name with no calibration multiplier.
+    */
   def partitioningTime(algo: String, cost: PartitionCost): Double = {
-    val raw = cost.edgesStreamed * tStream + cost.scoreEvals * tScore + cost.heavyOps * tHeavy
-    raw * algoMult.getOrElse(algo, 1.0)
+    val mult = algoMult.getOrElse(algo, throw new IllegalArgumentException(s"no algoMult for partitioner: $algo"))
+    (cost.edgesStreamed * tStream + cost.scoreEvals * tScore + cost.heavyOps * tHeavy) * mult
   }
 
   /** Ring all-reduce time for `params` floats: each machine sends and

@@ -6,8 +6,8 @@ import org.apache.spark.sql.DataFrame
   *
   * `edges` has columns `src: long`, `dst: long`. Vertex ids are dense in
   * `[0, numVertices)`. For undirected graphs edges are canonicalized with
-  * `src < dst` and stored once; consumers that need both directions use
-  * [[GraphOps.adjacency]].
+  * `src < dst` and stored once; the driver CSR ([[CompactGraph]]) holds
+  * both directions.
   *
   * @param name      short display name (e.g. "OR")
   * @param gtype     paper category (Social, Web, Road, Wiki, Colla.)
@@ -88,14 +88,25 @@ final class CompactGraph(
     (off, nbr, eid)
   }
 
-  /** Iterate neighbors of `v` (with multiplicity). */
-  def neighbors(v: Int): IndexedSeq[Int] = {
-    val from = adjOff(v); val until = adjOff(v + 1)
-    new IndexedSeq[Int] {
-      def length: Int = until - from
-      def apply(i: Int): Int = adjNbr(from + i)
+  /** In-neighbor CSR `(v, nbr)`, the neighbors whose state `v` aggregates
+    * in message passing: the sources of `v`'s in-edges for a directed graph
+    * (messages flow along edge direction), and [[adjOff]]/[[adjNbr]] for an
+    * undirected one, where every edge points both ways.
+    */
+  lazy val (inOff, inNbr): (Array[Int], Array[Int]) =
+    if (!directed) (adjOff, adjNbr)
+    else {
+      val off = new Array[Int](numVertices + 1)
+      var i = 0
+      while (i < src.length) { off(dst(i) + 1) += 1; i += 1 }
+      i = 0
+      while (i < numVertices) { off(i + 1) += off(i); i += 1 }
+      val nbr = new Array[Int](src.length)
+      val cur = java.util.Arrays.copyOf(off, off.length)
+      i = 0
+      while (i < src.length) { nbr(cur(dst(i))) = src(i); cur(dst(i)) += 1; i += 1 }
+      (off, nbr)
     }
-  }
 
   def meanDegree: Double = 2.0 * numEdges / numVertices
 }

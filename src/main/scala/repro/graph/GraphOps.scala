@@ -1,9 +1,9 @@
 package repro.graph
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, SparkSession}
 import org.apache.spark.sql.functions._
 
-/** DataFrame-level graph operations shared by the metrics and the Spark
+/** The training split, shared by the metrics, the partitioners and the
   * sampler.
   */
 object GraphOps {
@@ -12,17 +12,6 @@ object GraphOps {
     * split.
     */
   private val splitSeed = 42
-
-  /** Message-passing adjacency `(v, nbr)`: the neighbors whose state `v`
-    * aggregates. For directed graphs a vertex aggregates its in-neighbors
-    * (GNN convention: messages flow along edge direction); for undirected
-    * graphs both directions are present.
-    */
-  def adjacency(g: Graph): DataFrame = {
-    val in = g.edges.select(col("dst") as "v", col("src") as "nbr")
-    if (g.directed) in
-    else in.union(g.edges.select(col("src") as "v", col("dst") as "nbr"))
-  }
 
   /** The paper's 10% training split: whether vertex `vid` is a training
     * vertex, chosen by a seeded hash of its id. The one definition every

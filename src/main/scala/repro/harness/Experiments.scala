@@ -88,9 +88,8 @@ object Experiments {
       VertexRun(key, algo, k, q, CostModel.partitioningTime(algo, res.cost), res.part)
     })
 
-  /** One sampled synchronous step for every worker; memoized per
-    * (graph, algo, k, layers, gbs). Uses the driver-side FastSampler,
-    * which is decision-identical to the Spark sampler (tested).
+  /** One sampled synchronous step for every worker (`FastSampler`);
+    * memoized per (graph, algo, k, layers, gbs).
     */
   def samples(
       spark: SparkSession,

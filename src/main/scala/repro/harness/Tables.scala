@@ -31,11 +31,9 @@ object Tables {
 
   // ------------------------------------------------------------------ T2
   /** Table 2: the twelve partitioning algorithms. */
-  def table2: Seq[(String, String, String)] = Partitioners.table2
-
   def renderTable2: String =
     ("Partitioner | Cut-Type | Category" +:
-      table2.map { case (n, c, cat) => s"$n | $c | $cat" }).mkString("\n")
+      Partitioners.table2.map { case (n, c, cat) => s"$n | $c | $cat" }).mkString("\n")
 
   // ------------------------------------------------------------------ T3
   /** Table 3: the hyper-parameter grid. */

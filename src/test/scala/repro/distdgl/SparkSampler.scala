@@ -1,42 +1,31 @@
 package repro.distdgl
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.GraphOps
+import repro.graph.{Graph, GraphOps}
 
-/** Measured mini-batch sample of one worker in one training step.
-  *
-  * @param roots          batch roots (training vertices) on this worker
-  * @param edgesPerHop    sampled edges at hop t (t = 1 … L, outermost last)
-  * @param frontierPerHop distinct frontier sizes, hop 0 (roots) … hop L
-  * @param remoteExpanded frontier vertices expanded whose owner is another
-  *                       worker (each costs a sampling RPC)
-  * @param inputVerts     distinct vertices in the computation graph
-  * @param remoteInputVerts input vertices owned by another worker — their
-  *                       features must be fetched over the network (the
-  *                       paper's "remote vertices")
+/** Reference for [[FastSampler]]: the same DistDGL-style sampling written
+  * as Spark DataFrame joins, with each per-vertex fanout draw a window rank
+  * over [[SampleOrder]]. The equality tests in `SamplerSpec` check that
+  * both make identical decisions.
   */
-final case class WorkerSample(
-    worker: Int,
-    roots: Long,
-    edgesPerHop: Seq[Long],
-    frontierPerHop: Seq[Long],
-    remoteExpanded: Long,
-    inputVerts: Long,
-    remoteInputVerts: Long,
-) {
-  def localInputVerts: Long = inputVerts - remoteInputVerts
-}
+object SparkSampler {
 
-/** DistDGL-style neighborhood sampling, executed as Spark DataFrame joins:
-  * every worker draws a mini-batch from its *local* training vertices and
-  * expands the k-hop neighborhood with per-vertex fanout caps (window rank
-  * over a seeded shuffle). All the quantities the paper shows drive
-  * DistDGL performance — mini-batch computation-graph sizes, input-vertex
-  * balance, remote vertices — are measured, not modelled.
-  */
-object Sampler {
+  /** Message-passing adjacency `(v, nbr)`: the neighbors whose state `v`
+    * aggregates. For directed graphs a vertex aggregates its in-neighbors
+    * (GNN convention: messages flow along edge direction); for undirected
+    * graphs both directions are present.
+    */
+  def adjacency(g: Graph): DataFrame = {
+    val in = g.edges.select(col("dst") as "v", col("src") as "nbr")
+    if (g.directed) in
+    else in.union(g.edges.select(col("src") as "v", col("dst") as "nbr"))
+  }
+
+  /** [[SampleOrder.key]] as a column. */
+  private def orderKey(v: Column, seed: Long): Column =
+    pmod((v + lit(seed * 7919L)) * SampleOrder.Mult, lit(SampleOrder.Mod))
 
   /** Sample one synchronous training step for all `k` workers.
     *
@@ -55,14 +44,12 @@ object Sampler {
     val perWorker = math.max(1, gbs / k)
     val owners = vertexDf.select(col("vid") as "v", col("part") as "owner")
 
-    // batch roots: per worker, a seeded draw of local training vertices.
-    // The ordering key is the shared arithmetic mix (same as FastSampler,
-    // which must make identical decisions — tested for equality).
+    // batch roots: per worker, a seeded draw of local training vertices
     val roots = vertexDf
       .filter(GraphOps.isTrain(col("vid")))
       .select(col("part") as "worker", col("vid") as "v")
       .withColumn("rn", row_number().over(
-        Window.partitionBy("worker").orderBy(SampleOrder.col(col("v"), seed), col("v"))))
+        Window.partitionBy("worker").orderBy(orderKey(col("v"), seed), col("v"))))
       .filter(col("rn") <= perWorker)
       .select("worker", "v")
       .persist()
@@ -76,7 +63,7 @@ object Sampler {
         .withColumn("rn", row_number().over(
           Window
             .partitionBy("worker", "v")
-            .orderBy(SampleOrder.col(col("nbr"), seed + t + 1), col("nbr"))))
+            .orderBy(orderKey(col("nbr"), seed + t + 1), col("nbr"))))
         .filter(col("rn") <= fanout)
         .select(col("worker"), col("v"), col("nbr"))
         .persist()

@@ -1,7 +1,7 @@
 package repro.gnn
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.partition.PartitionCost
+import repro.partition.{PartitionCost, Partitioners}
 
 class GnnConfigSpec extends AnyFunSuite {
 
@@ -57,6 +57,14 @@ class GnnConfigSpec extends AnyFunSuite {
   test("partitioning time: KaHIP constant factor dwarfs Metis for equal work") {
     val c = PartitionCost(heavyOps = 1000000)
     assert(CostModel.partitioningTime("KaHIP", c) > 10 * CostModel.partitioningTime("Metis", c))
+  }
+
+  test("partitioning time: every registered partitioner is priced, an unknown name throws") {
+    val c = PartitionCost(edgesStreamed = 1000)
+    (Partitioners.edgePartitioners.map(_.name) ++ Partitioners.vertexPartitioners.map(_.name))
+      .foreach(name => assert(CostModel.partitioningTime(name, c) > 0, name))
+    val e = intercept[IllegalArgumentException](CostModel.partitioningTime("Metis2", c))
+    assert(e.getMessage.contains("Metis2"))
   }
 
   test("all-reduce time grows with params and is k-independent (ring)") {

@@ -2,26 +2,29 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.distdgl.SparkSampler
 
 class GraphOpsSpec extends SparkSpec {
 
   test("adjacency of an undirected graph has 2|E| rows") {
     val (g, _) = TestGraphs.smallPowerLaw(spark)
-    assert(GraphOps.adjacency(g).count() === 2 * g.numEdges)
+    assert(SparkSampler.adjacency(g).count() === 2 * g.numEdges)
   }
 
   test("adjacency of a directed graph has |E| rows (in-neighbors)") {
     val (g, _) = TestGraphs.smallWeb(spark)
-    assert(GraphOps.adjacency(g).count() === g.numEdges)
+    assert(SparkSampler.adjacency(g).count() === g.numEdges)
   }
 
   test("adjacency of a directed graph matches the oracle") {
-    val (g, _) = TestGraphs.smallWeb(spark)
-    Oracle.assertEquivalent(
-      GraphOps.adjacency(g),
-      "SELECT dst AS v, src AS nbr FROM edges",
-      "edges" -> g.edges,
-    )
+    import spark.implicits._
+    val (g, cg) = TestGraphs.smallWeb(spark)
+    // the driver in-CSR the sampler reads, as (v, nbr) rows
+    val csr = (0 until cg.numVertices)
+      .flatMap(v => (cg.inOff(v) until cg.inOff(v + 1)).map(i => (v.toLong, cg.inNbr(i).toLong)))
+      .toDF("v", "nbr")
+    for (adj <- Seq(SparkSampler.adjacency(g), csr))
+      Oracle.assertEquivalent(adj, "SELECT dst AS v, src AS nbr FROM edges", "edges" -> g.edges)
   }
 
   test("about 10% of the vertices are training vertices") {
