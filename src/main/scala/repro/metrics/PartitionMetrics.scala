@@ -85,8 +85,12 @@ object PartitionMetrics {
     * its [[GraphOps.isTrain]] flag) and one row per edge (at its source's
     * part) feed a single `groupBy(part)`.
     *
-    * `spark` is unused; it stays in the signature because the pipeline
-    * benchmark calls this function with four arguments.
+    * Each edge finds its endpoints' parts in a partition book, `vertexDf`
+    * read into a `vid`-indexed array and broadcast, as DistDGL replicates
+    * its book on every machine. So the edge table is scanned in place, and
+    * the only shuffle carries each map task's partial aggregate. The book is
+    * destroyed once the aggregate is collected. Throws if `vertexDf` does
+    * not give every vertex in `[0, |V|)` exactly one row.
     */
   def vertexCutQuality(
       g: Graph,
@@ -94,24 +98,22 @@ object PartitionMetrics {
       vertexDf: DataFrame,
       k: Int,
   ): VertexCutQuality = {
+    val book = spark.sparkContext.broadcast(partitionBook(vertexDf, g.numVertices))
+    val partOf = udf((vid: Long) => book.value(vid.toInt))
     val vertexRows = vertexDf
       .select(col("part"), lit(1L) as "v", GraphOps.isTrain(col("vid")).cast(LongType) as "t",
         lit(0L) as "local", lit(0L) as "cut")
-    val sp = vertexDf.withColumnRenamed("vid", "src").withColumnRenamed("part", "psrc")
-    val dp = vertexDf.withColumnRenamed("vid", "dst").withColumnRenamed("part", "pdst")
     val local = col("psrc") === col("pdst")
     val edgeRows = g.edges
-      .join(sp, "src")
-      .join(dp, "dst")
+      .select(partOf(col("src")) as "psrc", partOf(col("dst")) as "pdst")
       .select(col("psrc") as "part", lit(0L) as "v", lit(0L) as "t",
         local.cast(LongType) as "local", (!local).cast(LongType) as "cut")
-    val rows = vertexRows
+    val byPart = vertexRows
       .union(edgeRows)
       .groupBy("part")
       .agg(sum("v") as "verts", sum("t") as "trainVerts", sum("local") as "localEdges",
         sum("cut") as "cut")
-      .rdd
-      .collect()
+    val rows = try byPart.rdd.collect() finally book.destroy()
     val loads = perPart(rows, k, "verts", "trainVerts", "localEdges")(VertexPartLoad.apply)
     val cut = rows.map(_.getAs[Long]("cut")).sum
     val numE = loads.map(_.localEdges).sum + cut
@@ -126,17 +128,38 @@ object PartitionMetrics {
     )
   }
 
+  /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows.
+    * Throws unless every vid in `[0, n)` has exactly one row.
+    */
+  private def partitionBook(vertexDf: DataFrame, n: Long): Array[Int] = {
+    val book = new Array[Int](Math.toIntExact(n))
+    val seen = new Array[Boolean](book.length)
+    vertexDf.select("vid", "part").rdd.collect().foreach { r =>
+      val v = r.getLong(0)
+      require(v >= 0 && v < n, s"vertexDf: vid $v lies outside [0, $n)")
+      require(!seen(v.toInt), s"vertexDf: vid $v has more than one row")
+      seen(v.toInt) = true
+      book(v.toInt) = r.getInt(1)
+    }
+    val missing = seen.indexOf(false)
+    require(missing < 0, s"vertexDf: vid $missing has no row")
+    book
+  }
+
   /** One load per partition, in part order, from aggregated `(part, a, b, c)`
     * rows. Parts in 0 until k without a row get zero loads: empty partitions
-    * still count toward the balance denominators.
+    * still count toward the balance denominators. Throws on a part outside
+    * `[0, k)`, which would otherwise count as an extra partition.
     */
   private def perPart[L](rows: Array[Row], k: Int, a: String, b: String, c: String)(
       load: (Int, Long, Long, Long) => L,
   ): Seq[L] = {
     val got = rows.map { r =>
-      r.getAs[Int]("part") -> (r.getAs[Long](a), r.getAs[Long](b), r.getAs[Long](c))
+      val p = r.getAs[Int]("part")
+      require(p >= 0 && p < k, s"part $p lies outside [0, $k)")
+      p -> (r.getAs[Long](a), r.getAs[Long](b), r.getAs[Long](c))
     }.toMap
-    (got.keySet ++ (0 until k)).toSeq.sorted.map { p =>
+    (0 until k).map { p =>
       val (x, y, z) = got.getOrElse(p, (0L, 0L, 0L))
       load(p, x, y, z)
     }

@@ -8,9 +8,12 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so the metric and sampler joins
-  * run as shuffles even on the small test graphs, as they would on graphs
-  * too large to broadcast.
+  * limit). Broadcast joins are disabled so that the test-only
+  * `SparkSampler` joins run as shuffles even on the small test graphs, as
+  * they would on graphs too large to broadcast. The setting does not touch
+  * the metrics, which have no join: `edgeCutQuality`'s exchanges are
+  * shuffles either way, and `vertexCutQuality` broadcasts its partition
+  * book itself.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

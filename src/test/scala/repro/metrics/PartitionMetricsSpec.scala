@@ -1,5 +1,8 @@
 package repro.metrics
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted, SparkListenerTaskEnd}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.graph.GraphOps
@@ -141,5 +144,79 @@ class PartitionMetricsSpec extends SparkSpec {
     val q = PartitionMetrics.vertexCutQuality(g, spark, PartitionBridge.vertexDf(spark, assign), 4)
     assert(q.trainVertexBalance >= 1.0)
     assert(q.perPart.map(_.trainVerts).sum > 0)
+  }
+
+  test("vertexCutQuality shuffles at most k partial-aggregate rows per map task") {
+    val (g, cg) = TestGraphs.smallWeb(spark)
+    val k = 4
+    val vdf = PartitionBridge.vertexDf(
+      spark, RandomVertex.partition(cg, k, new Array[Boolean](cg.numVertices), 3).part)
+    val sc = spark.sparkContext
+    val tag = "vertexCutQuality-shuffle"
+    // counts only the stages this thread submits under the tag
+    val counter = new SparkListener {
+      val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+      @volatile var mapTasks = 0
+      @volatile var records = 0L
+      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
+        if (Option(e.properties).exists(_.getProperty(tag) != null)) stages.add(e.stageInfo.stageId)
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        if (stages.contains(e.stageId) && e.taskType == "ShuffleMapTask") {
+          mapTasks += 1
+          records += e.taskMetrics.shuffleWriteMetrics.recordsWritten
+        }
+    }
+    sc.addSparkListener(counter)
+    sc.setLocalProperty(tag, "1")
+    try PartitionMetrics.vertexCutQuality(g, spark, vdf, k)
+    finally {
+      sc.setLocalProperty(tag, null)
+      ListenerBusDrain(sc)
+      sc.removeSparkListener(counter)
+    }
+    assert(counter.mapTasks > 0)
+    assert(counter.records <= k.toLong * counter.mapTasks,
+      s"${counter.records} shuffle records from ${counter.mapTasks} map tasks (|E| = ${g.numEdges})")
+  }
+
+  /** Scores a random k=4 book of smallWeb after `edit` has broken it, and
+    * expects the book to be refused.
+    */
+  private def malformedBook(edit: DataFrame => DataFrame): Unit = {
+    val (g, cg) = TestGraphs.smallWeb(spark)
+    val vdf = PartitionBridge.vertexDf(
+      spark, RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part)
+    intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(g, spark, edit(vdf), 4))
+  }
+
+  test("vertexCutQuality throws when a vertex has no row in vertexDf") {
+    malformedBook(_.filter(col("vid") =!= 5))
+  }
+
+  test("vertexCutQuality throws when a vid appears twice in vertexDf") {
+    malformedBook(df => df.union(df.filter(col("vid") === 5)))
+  }
+
+  test("vertexCutQuality throws on a vid outside [0, |V|)") {
+    val (g, _) = TestGraphs.smallWeb(spark)
+    malformedBook(df => df.union(spark.range(1).select(lit(g.numVertices) as "vid", lit(0) as "part")))
+  }
+
+  test("edgeCutQuality throws on a part outside [0, k)") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val assign = RandomEdge.partition(cg, 4, 3).part
+    assign(0) = 4
+    intercept[IllegalArgumentException] {
+      PartitionMetrics.edgeCutQuality(g, PartitionBridge.edgeDf(spark, cg, assign), 4)
+    }
+  }
+
+  test("vertexCutQuality throws on a part outside [0, k)") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val assign = RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part
+    assign(0) = 4
+    intercept[IllegalArgumentException] {
+      PartitionMetrics.vertexCutQuality(g, spark, PartitionBridge.vertexDf(spark, assign), 4)
+    }
   }
 }
