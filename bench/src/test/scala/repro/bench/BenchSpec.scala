@@ -1,12 +1,16 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.harness.Study
 
-/** Base for the benchmark suites: one shared SparkSession, fewer shuffle
-  * partitions (bench inputs are ~10⁵ rows; 64 shuffle partitions would be
-  * pure overhead), and a banner helper so `bench_output.txt` is readable.
+/** Base for the benchmark suites: one shared SparkSession and one shared
+  * [[Study]], so every suite reads the same analogs and partitionings, fewer
+  * shuffle partitions (bench inputs are ~10⁵ rows; 64 shuffle partitions
+  * would be pure overhead), and a banner helper so `bench_output.txt` is
+  * readable.
   */
 trait BenchSpec extends SparkSpec {
+  def study: Study = BenchSpec.study
 
   override def beforeAll(): Unit = {
     super.beforeAll()
@@ -19,4 +23,8 @@ trait BenchSpec extends SparkSpec {
     println(s"== $title")
     println("=" * 78)
   }
+}
+
+object BenchSpec {
+  lazy val study: Study = new Study(SparkSpec.shared)
 }

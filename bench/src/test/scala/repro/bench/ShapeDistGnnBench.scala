@@ -1,9 +1,8 @@
 package repro.bench
 
-import repro.distgnn.DistGnnSim
 import repro.gnn.{GnnConfig, GnnParams}
 import repro.graph.Datasets
-import repro.harness.{Experiments, Tables}
+import repro.harness.{Study, Tables}
 
 /** Figure-level shape checks for the DistGNN (full-batch, vertex-cut) half
   * of the study: replication factors (Fig. 2), vertex balance (Fig. 4),
@@ -19,22 +18,22 @@ class ShapeDistGnnBench extends BenchSpec {
     banner("Replication factors (k=4 | k=8 | k=16 | k=32)")
     println(f"${"graph"}%-6s${"algo"}%-8s rf4   rf8   rf16  rf32")
     for (g <- graphs; a <- algos) {
-      val rfs = Experiments.machineCounts.map(k => Experiments.edgeRun(spark, g, a, k).quality.replicationFactor)
+      val rfs = Study.machineCounts.map(k => study.edgeRun(g, a, k).quality.replicationFactor)
       println(f"$g%-6s$a%-8s" + rfs.map(r => f"$r%5.2f ").mkString)
     }
     // shape: the HEP family lowest (within 15% of the best — at 1/1000
     // scale the dense HW/OR analogs leave HDRF within reach, see
     // EXPERIMENTS.md), Random highest, everywhere
-    for (g <- graphs; k <- Experiments.machineCounts) {
-      val rf = algos.map(a => a -> Experiments.edgeRun(spark, g, a, k).quality.replicationFactor).toMap
+    for (g <- graphs; k <- Study.machineCounts) {
+      val rf = algos.map(a => a -> study.edgeRun(g, a, k).quality.replicationFactor).toMap
       val best = rf.values.min
       assert(math.min(rf("HEP100"), rf("HEP10")) <= best * 1.15 + 1e-9, s"$g k=$k: $rf")
       assert(rf("Random") >= rf.values.max - 1e-9, s"$g k=$k: $rf")
     }
     // shape: RF grows with k
     for (g <- graphs; a <- algos) {
-      val r4 = Experiments.edgeRun(spark, g, a, 4).quality.replicationFactor
-      val r32 = Experiments.edgeRun(spark, g, a, 32).quality.replicationFactor
+      val r4 = study.edgeRun(g, a, 4).quality.replicationFactor
+      val r32 = study.edgeRun(g, a, 32).quality.replicationFactor
       assert(r32 > r4, s"$g $a: rf32=$r32 rf4=$r4")
     }
   }
@@ -43,18 +42,18 @@ class ShapeDistGnnBench extends BenchSpec {
     banner("Replication factor in % of Random")
     println(f"${"graph"}%-6s${"algo"}%-8s  k=4    k=32")
     for (g <- graphs; a <- algos.drop(1)) {
-      val p4 = 100 * Experiments.edgeRun(spark, g, a, 4).quality.replicationFactor /
-        Experiments.edgeRun(spark, g, "Random", 4).quality.replicationFactor
-      val p32 = 100 * Experiments.edgeRun(spark, g, a, 32).quality.replicationFactor /
-        Experiments.edgeRun(spark, g, "Random", 32).quality.replicationFactor
+      val p4 = 100 * study.edgeRun(g, a, 4).quality.replicationFactor /
+        study.edgeRun(g, "Random", 4).quality.replicationFactor
+      val p32 = 100 * study.edgeRun(g, a, 32).quality.replicationFactor /
+        study.edgeRun(g, "Random", 32).quality.replicationFactor
       println(f"$g%-6s$a%-8s$p4%6.1f%% $p32%6.1f%%")
     }
     // paper: HEP100 goes from ~36% of Random at k=4 to ~11% at k=32 on average
     val drops = graphs.map { g =>
-      val p4 = Experiments.edgeRun(spark, g, "HEP100", 4).quality.replicationFactor /
-        Experiments.edgeRun(spark, g, "Random", 4).quality.replicationFactor
-      val p32 = Experiments.edgeRun(spark, g, "HEP100", 32).quality.replicationFactor /
-        Experiments.edgeRun(spark, g, "Random", 32).quality.replicationFactor
+      val p4 = study.edgeRun(g, "HEP100", 4).quality.replicationFactor /
+        study.edgeRun(g, "Random", 4).quality.replicationFactor
+      val p32 = study.edgeRun(g, "HEP100", 32).quality.replicationFactor /
+        study.edgeRun(g, "Random", 32).quality.replicationFactor
       p32 < p4
     }
     assert(drops.count(identity) >= 3, "HEP100 should gain on Random with scale-out on most graphs")
@@ -64,8 +63,8 @@ class ShapeDistGnnBench extends BenchSpec {
     banner("Vertex balance / memory-utilization balance (k=4)")
     println(f"${"graph"}%-6s${"algo"}%-8s  VB    memBal")
     val pairs = for (g <- graphs; a <- algos) yield {
-      val q = Experiments.edgeRun(spark, g, a, 4).quality
-      val e = DistGnnSim.epoch(q, GnnConfig.default)
+      val q = study.edgeRun(g, a, 4).quality
+      val e = study.gnnEpoch(g, a, 4, GnnConfig.default)
       println(f"$g%-6s$a%-8s${q.vertexBalance}%5.2f  ${e.memoryBalance}%5.2f")
       (q.vertexBalance, e.memoryBalance)
     }
@@ -74,7 +73,7 @@ class ShapeDistGnnBench extends BenchSpec {
     assert(byVb.last >= byVb.head, "memory balance should track vertex balance")
     // 2PS-L shows the largest vertex imbalance family-wide (paper Fig. 4)
     val avgVb = algos.map(a => a -> graphs.map(g =>
-      Experiments.edgeRun(spark, g, a, 4).quality.vertexBalance).sum / graphs.size).toMap
+      study.edgeRun(g, a, 4).quality.vertexBalance).sum / graphs.size).toMap
     assert(avgVb("2PS-L") > avgVb("DBH"), avgVb.toString)
     assert(avgVb("2PS-L") > avgVb("Random"), avgVb.toString)
   }
@@ -82,7 +81,7 @@ class ShapeDistGnnBench extends BenchSpec {
   test("edge balance stays tight for all partitioners (paper: alpha <= 1.11)") {
     val bad = for {
       g <- graphs; a <- algos; k <- Seq(4, 32)
-      eb = Experiments.edgeRun(spark, g, a, k).quality.edgeBalance
+      eb = study.edgeRun(g, a, k).quality.edgeBalance
       if eb > 1.25
     } yield s"$g $a k=$k eb=$eb"
     assert(bad.isEmpty, bad.mkString(", "))
@@ -92,12 +91,12 @@ class ShapeDistGnnBench extends BenchSpec {
     banner("Partitioning time (simulated seconds), k=4 and k=32")
     println(f"${"graph"}%-6s${"algo"}%-8s    t(k=4)    t(k=32)")
     for (g <- graphs; a <- algos) {
-      val t4 = Experiments.edgeRun(spark, g, a, 4).partTime
-      val t32 = Experiments.edgeRun(spark, g, a, 32).partTime
+      val t4 = study.edgeRun(g, a, 4).partTime
+      val t32 = study.edgeRun(g, a, 32).partTime
       println(f"$g%-6s$a%-8s$t4%10.4f $t32%10.4f")
     }
     for (g <- graphs) {
-      val t = (a: String, k: Int) => Experiments.edgeRun(spark, g, a, k).partTime
+      val t = (a: String, k: Int) => study.edgeRun(g, a, k).partTime
       assert(t("Random", 4) < t("HDRF", 4), g)
       // HDRF's cost grows with k (k-way scoring); Random/DBH do not
       assert(t("HDRF", 32) > 2 * t("HDRF", 4), g)
@@ -110,8 +109,8 @@ class ShapeDistGnnBench extends BenchSpec {
     println(f"${"graph"}%-6s${"algo"}%-8s   k=4    k=8    k=16   k=32")
     val speed = scala.collection.mutable.Map.empty[(String, String, Int), Double]
     for (g <- graphs; a <- algos.drop(1)) {
-      val row = Experiments.machineCounts.map { k =>
-        val s = Tables.distGnnSpeedup(spark, g, a, k)
+      val row = Study.machineCounts.map { k =>
+        val s = Tables.distGnnSpeedup(study, g, a, k)
         speed((g, a, k)) = s
         f"$s%6.2f "
       }
@@ -133,7 +132,7 @@ class ShapeDistGnnBench extends BenchSpec {
     }
     // every partitioner except 2PS-L beats Random on average (paper Fig. 7)
     for (g <- graphs; a <- Seq("DBH", "HDRF", "HEP10", "HEP100")) {
-      val avg = Experiments.machineCounts.map(k => speed((g, a, k))).sum / 4
+      val avg = Study.machineCounts.map(k => speed((g, a, k))).sum / 4
       assert(avg > 1.0, s"$g $a avg=$avg")
     }
     // overall magnitude sanity: best speedup well above 2.5x somewhere, bounded
@@ -147,13 +146,12 @@ class ShapeDistGnnBench extends BenchSpec {
     def memPct(g: String, a: String, k: Int): Double = {
       val grid = GnnConfig.grid()
       val r = grid.map { p =>
-        DistGnnSim.epoch(Experiments.edgeRun(spark, g, a, k).quality, p).totalMemoryBytes /
-          DistGnnSim.epoch(Experiments.edgeRun(spark, g, "Random", k).quality, p).totalMemoryBytes
+        study.gnnEpoch(g, a, k, p).totalMemoryBytes / study.gnnEpoch(g, "Random", k, p).totalMemoryBytes
       }
       100 * r.sum / r.size
     }
     for (g <- graphs; a <- algos.drop(1)) {
-      val row = Experiments.machineCounts.map(k => f"${memPct(g, a, k)}%6.1f ")
+      val row = Study.machineCounts.map(k => f"${memPct(g, a, k)}%6.1f ")
       println(f"$g%-6s$a%-8s" + row.mkString)
     }
     for (g <- graphs) {
@@ -170,8 +168,8 @@ class ShapeDistGnnBench extends BenchSpec {
     // partitioners enable processing DI in many cases"
     banner("DI out-of-memory check (full-batch, f=512, h=64, L=2, k=4)")
     val p = GnnParams(featureSize = 512, hidden = 64, layers = 2)
-    val rnd = DistGnnSim.epoch(Experiments.edgeRun(spark, "DI", "Random", 4).quality, p)
-    val hep = DistGnnSim.epoch(Experiments.edgeRun(spark, "DI", "HEP100", 4).quality, p)
+    val rnd = study.gnnEpoch("DI", "Random", 4, p)
+    val hep = study.gnnEpoch("DI", "HEP100", 4, p)
     println(f"Random: maxMem=${rnd.maxMemoryBytes / 1e6}%.1f MB oom=${rnd.oom}")
     println(f"HEP100: maxMem=${hep.maxMemoryBytes / 1e6}%.1f MB oom=${hep.oom}")
     assert(rnd.maxMemoryBytes > hep.maxMemoryBytes)

@@ -10,7 +10,7 @@ import repro.harness.Tables
 class Table1GraphsBench extends BenchSpec {
 
   test("Table 1: graph analogs match the paper's shapes") {
-    val rows = Tables.table1(spark)
+    val rows = Tables.table1(study)
     banner("Table 1: Graphs of different types (bench scale = paper / 1000)")
     println(Tables.renderTable1(rows))
 
@@ -37,7 +37,7 @@ class Table1GraphsBench extends BenchSpec {
 
   test("power-law analogs are skewed; the road analog is not") {
     def skew(key: String): Double = {
-      val (_, cg) = repro.harness.Experiments.graph(spark, key)
+      val cg = study.graph(key).cg
       cg.degree.max / cg.meanDegree
     }
     val road = skew("DI")

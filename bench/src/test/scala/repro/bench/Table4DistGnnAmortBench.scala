@@ -17,7 +17,7 @@ import repro.harness.Tables
 class Table4DistGnnAmortBench extends BenchSpec {
 
   test("Table 4: partitioning amortizes within a few epochs for DistGNN") {
-    val t = Tables.table4(spark)
+    val t = Tables.table4(study)
     banner("Table 4: epochs to amortize partitioning (DistGNN)")
     println(Tables.renderTable4(t))
 
@@ -63,11 +63,10 @@ class Table4DistGnnAmortBench extends BenchSpec {
     // reconstruct one cell by hand from the cached runs
     val g = "EN"
     val k = 8
-    val tPart = repro.harness.Experiments.edgeRun(spark, g, "DBH", k).partTime
+    val tPart = study.edgeRun(g, "DBH", k).partTime
     val grid = repro.gnn.GnnConfig.grid("GraphSage")
     val pairs = grid.map { p =>
-      (Tables.distGnnEpochTime(spark, g, "Random", k, p),
-       Tables.distGnnEpochTime(spark, g, "DBH", k, p))
+      (study.gnnEpoch(g, "Random", k, p).epochTime, study.gnnEpoch(g, "DBH", k, p).epochTime)
     }
     val cell = Amortization.averageEpochs(tPart, pairs)
     assert(cell.isDefined)

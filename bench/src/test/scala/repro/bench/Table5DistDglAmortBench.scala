@@ -17,7 +17,7 @@ import repro.harness.Tables
 class Table5DistDglAmortBench extends BenchSpec {
 
   test("Table 5: amortization ordering LDG < ByteGNN < Metis < Spinner < KaHIP") {
-    val t = Tables.table5(spark)
+    val t = Tables.table5(study)
     banner("Table 5: epochs to amortize partitioning (DistDGL)")
     println(Tables.renderTable5(t))
 

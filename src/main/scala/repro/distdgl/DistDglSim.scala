@@ -11,15 +11,11 @@ final case class PhaseTimes(
     forward: Double,
     backward: Double,
     modelUpdate: Double,
-) {
-  def total: Double = sampling + featureFetch + forward + backward + modelUpdate
-}
+)
 
 /** One simulated DistDGL epoch. */
 final case class DistDglEpoch(
     epochTime: Double,
-    stepTime: Double,
-    steps: Int,
     phases: PhaseTimes,
     totalNetworkBytes: Double,
     remoteInputVerts: Long,
@@ -93,8 +89,6 @@ object DistDglSim {
 
     DistDglEpoch(
       epochTime = steps * stepTime,
-      stepTime = stepTime,
-      steps = steps,
       phases = PhaseTimes(
         sampling = steps * samplingStraggler,
         featureFetch = steps * fetchStraggler,

@@ -56,7 +56,7 @@ object Datasets {
       val extra = math.max(0L, numE - structural)
       GraphGen.grid(spark, s.key, side, side, extra, s.directed, seed)
     } else {
-      GraphGen.powerLaw(spark, s.key, s.gtype, numV, numE, s.alpha, s.directed, seed, s.locality)
+      GraphGen.powerLaw(spark, s.key, numV, numE, s.alpha, s.directed, seed, s.locality)
     }
   }
 

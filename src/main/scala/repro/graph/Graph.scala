@@ -10,12 +10,10 @@ import org.apache.spark.sql.DataFrame
   * both directions.
   *
   * @param name      short display name (e.g. "OR")
-  * @param gtype     paper category (Social, Web, Road, Wiki, Colla.)
   * @param directed  whether the graph is directed
   */
 final case class Graph(
     name: String,
-    gtype: String,
     directed: Boolean,
     numVertices: Long,
     edges: DataFrame,

@@ -61,7 +61,6 @@ object GraphGen {
   def powerLaw(
       spark: SparkSession,
       name: String,
-      gtype: String,
       numV: Long,
       numE: Long,
       alpha: Double,
@@ -120,7 +119,7 @@ object GraphGen {
     val trimmed = rounds.last.orderBy("src", "dst").limit(numE.toInt).cache()
     trimmed.count()
     rounds.foreach(_.unpersist())
-    Graph(name, gtype, directed, numV, trimmed)
+    Graph(name, directed, numV, trimmed)
   }
 
   /** Road-network analog: rows×cols lattice (right + down edges) plus
@@ -158,6 +157,6 @@ object GraphGen {
       .union(diag)
       .dropDuplicates("src", "dst")
       .cache()
-    Graph(name, "Road", directed, numV, edges)
+    Graph(name, directed, numV, edges)
   }
 }

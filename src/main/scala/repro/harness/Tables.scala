@@ -1,9 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.SparkSession
 import repro.amortize.Amortization
-import repro.distdgl.DistDglSim
-import repro.distgnn.DistGnnSim
 import repro.gnn.{GnnConfig, GnnParams}
 import repro.graph.Datasets
 import repro.partition.Partitioners
@@ -18,9 +15,9 @@ object Tables {
   final case class Table1Row(key: String, name: String, gtype: String, directed: Boolean, edges: Long, vertices: Long)
 
   /** Table 1: the five graphs (analog sizes at the current bench scale). */
-  def table1(spark: SparkSession): Seq[Table1Row] =
+  def table1(study: Study): Seq[Table1Row] =
     Datasets.specs.map { s =>
-      val (g, _) = Experiments.graph(spark, s.key)
+      val g = study.graph(s.key).g
       Table1Row(s.key, s.name, s.gtype, s.directed, g.numEdges, g.numVertices)
     }
 
@@ -37,14 +34,17 @@ object Tables {
 
   // ------------------------------------------------------------------ T3
   /** Table 3: the hyper-parameter grid. */
-  def renderTable3: String =
+  def renderTable3: String = {
+    val grid = GnnConfig.grid()
+    def values(v: GnnParams => Int): String = grid.map(v).distinct.mkString(", ")
     Seq(
       "Hyper-parameter | Values",
-      "Hidden Dimension | 16, 64, 512",
-      "Feature size | 16, 64, 512",
-      "Number of layers | 2, 3, 4",
-      s"(grid size = ${GnnConfig.grid().size} combinations)",
+      s"Hidden Dimension | ${values(_.hidden)}",
+      s"Feature size | ${values(_.featureSize)}",
+      s"Number of layers | ${values(_.layers)}",
+      s"(grid size = ${grid.size} combinations)",
     ).mkString("\n")
+  }
 
   // --------------------------------------------------------------- T4, T5
   /** Epochs until amortization per (graph, partitioner); "no" is `None`. */
@@ -76,7 +76,7 @@ object Tables {
       epochTime: EpochTime,
   ): AmortizationTable =
     (for (key <- keys; algo <- algos) yield {
-      val perK = Experiments.machineCounts.map { k =>
+      val perK = Study.machineCounts.map { k =>
         Amortization.averageEpochs(partTime(key, algo, k), epochPairs(grid, epochTime, key, algo, k))
       }
       (key, algo) -> Amortization.overClusterSizes(perK)
@@ -96,20 +96,18 @@ object Tables {
   /** The full Table 3 grid for GraphSage. */
   val table4Grid: Seq[GnnParams] = GnnConfig.grid("GraphSage")
 
-  /** DistGNN epoch time for one (graph, algo, k, params). */
-  def distGnnEpochTime(spark: SparkSession, key: String, algo: String, k: Int, p: GnnParams): Double =
-    DistGnnSim.epoch(Experiments.edgeRun(spark, key, algo, k).quality, p).epochTime
+  private def gnnEpochTime(study: Study): EpochTime = study.gnnEpoch(_, _, _, _).epochTime
 
   /** Mean DistGNN speedup vs Random over the hyper-parameter grid. */
-  def distGnnSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double =
-    meanSpeedup(table4Grid, distGnnEpochTime(spark, _, _, _, _), key, algo, k)
+  def distGnnSpeedup(study: Study, key: String, algo: String, k: Int): Double =
+    meanSpeedup(table4Grid, gnnEpochTime(study), key, algo, k)
 
   /** Table 4: epochs until amortization for DistGNN (full-batch GraphSage),
     * averaged over the hyper-parameter grid and the four cluster sizes.
     */
-  def table4(spark: SparkSession): AmortizationTable =
+  def table4(study: Study): AmortizationTable =
     amortizationTable(Datasets.distGnnKeys, table4Algos, table4Grid,
-      (key, algo, k) => Experiments.edgeRun(spark, key, algo, k).partTime, distGnnEpochTime(spark, _, _, _, _))
+      study.edgeRun(_, _, _).partTime, gnnEpochTime(study))
 
   def renderTable4(t: AmortizationTable): String =
     renderAmortizationTable(Datasets.distGnnKeys, table4Algos, t)
@@ -121,31 +119,18 @@ object Tables {
     * the paper itself finds the layer count barely moves the partitioners'
     * relative effectiveness, §5.3(3)).
     */
-  val table5Grid: Seq[GnnParams] =
-    for (f <- Seq(16, 64, 512); h <- Seq(16, 64, 512))
-      yield GnnParams("GraphSage", f, h, 3)
+  val table5Grid: Seq[GnnParams] = GnnConfig.grid("GraphSage").filter(_.layers == 3)
 
-  /** DistDGL epoch time for one (graph, algo, k, params) from measured samples. */
-  def distDglEpochTime(
-      spark: SparkSession,
-      key: String,
-      algo: String,
-      k: Int,
-      p: GnnParams,
-      gbs: Int = Experiments.defaultGbs,
-  ): Double = {
-    val s = Experiments.samples(spark, key, algo, k, p.layers, gbs)
-    DistDglSim.epoch(s, p, k, gbs, Experiments.totalTrainVerts(spark, key)).epochTime
-  }
+  private def dglEpochTime(study: Study): EpochTime = study.dglEpoch(_, _, _, _).epochTime
 
   /** Mean DistDGL speedup vs Random over the Table 5 grid. */
-  def distDglSpeedup(spark: SparkSession, key: String, algo: String, k: Int): Double =
-    meanSpeedup(table5Grid, distDglEpochTime(spark, _, _, _, _), key, algo, k)
+  def distDglSpeedup(study: Study, key: String, algo: String, k: Int): Double =
+    meanSpeedup(table5Grid, dglEpochTime(study), key, algo, k)
 
   /** Table 5: epochs until amortization for DistDGL (mini-batch GraphSage). */
-  def table5(spark: SparkSession): AmortizationTable =
+  def table5(study: Study): AmortizationTable =
     amortizationTable(Datasets.distDglKeys, table5Algos, table5Grid,
-      (key, algo, k) => Experiments.vertexRun(spark, key, algo, k).partTime, distDglEpochTime(spark, _, _, _, _))
+      study.vertexRun(_, _, _).partTime, dglEpochTime(study))
 
   def renderTable5(t: AmortizationTable): String =
     renderAmortizationTable(Datasets.distDglKeys, table5Algos, t)

@@ -81,16 +81,17 @@ object PartitionMetrics {
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut). One row per vertex (with
-    * its [[GraphOps.isTrain]] flag) and one row per edge (at its source's
-    * part) feed a single `groupBy(part)`.
+  /** Metrics of a vertex partitioning (edge-cut). One row per vertex (at
+    * its part, with its [[GraphOps.isTrain]] flag) and one row per edge (at
+    * its source's part) feed a single `groupBy(part)`.
     *
-    * Each edge finds its endpoints' parts in a partition book, `vertexDf`
-    * read into a `vid`-indexed array and broadcast, as DistDGL replicates
-    * its book on every machine. So the edge table is scanned in place, and
-    * the only shuffle carries each map task's partial aggregate. The book is
-    * destroyed once the aggregate is collected. Throws if `vertexDf` does
-    * not give every vertex in `[0, |V|)` exactly one row.
+    * Every part comes from a partition book, `vertexDf` read once into a
+    * `vid`-indexed array and broadcast, as DistDGL replicates its book on
+    * every machine. So the vertex rows are generated over `[0, |V|)` and the
+    * edge table is scanned in place, and the only shuffle carries each map
+    * task's partial aggregate. The book is destroyed once the aggregate is
+    * collected. Throws if `vertexDf` does not give every vertex in
+    * `[0, |V|)` exactly one row.
     */
   def vertexCutQuality(
       g: Graph,
@@ -100,8 +101,8 @@ object PartitionMetrics {
   ): VertexCutQuality = {
     val book = spark.sparkContext.broadcast(partitionBook(vertexDf, g.numVertices))
     val partOf = udf((vid: Long) => book.value(vid.toInt))
-    val vertexRows = vertexDf
-      .select(col("part"), lit(1L) as "v", GraphOps.isTrain(col("vid")).cast(LongType) as "t",
+    val vertexRows = spark.range(g.numVertices)
+      .select(partOf(col("id")) as "part", lit(1L) as "v", GraphOps.isTrain(col("id")).cast(LongType) as "t",
         lit(0L) as "local", lit(0L) as "cut")
     val local = col("psrc") === col("pdst")
     val edgeRows = g.edges

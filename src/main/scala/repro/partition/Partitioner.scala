@@ -21,15 +21,7 @@ final case class PartitionCost(
     scoreEvals: Long = 0,
     heavyOps: Long = 0,
     passes: Int = 1,
-) {
-  def +(o: PartitionCost): PartitionCost =
-    PartitionCost(
-      edgesStreamed + o.edgesStreamed,
-      scoreEvals + o.scoreEvals,
-      heavyOps + o.heavyOps,
-      passes + o.passes,
-    )
-}
+)
 
 /** Result of edge partitioning: `part(i)` is the partition of edge i (the
   * i-th entry of the graph's `src`/`dst` arrays).

@@ -18,11 +18,11 @@ object TestGraphs {
 
   /** ~500 vertices / ~3000 edges, skewed, undirected. */
   def smallPowerLaw(spark: SparkSession): (Graph, CompactGraph) =
-    memo("smallPL")(GraphGen.powerLaw(spark, "PL", "Social", 500, 3000, 0.8, directed = false, seed = 1))
+    memo("smallPL")(GraphGen.powerLaw(spark, "PL", 500, 3000, 0.8, directed = false, seed = 1))
 
   /** ~400 vertices / ~2500 edges, heavily skewed, directed (web-like). */
   def smallWeb(spark: SparkSession): (Graph, CompactGraph) =
-    memo("smallWeb")(GraphGen.powerLaw(spark, "WEB", "Web", 400, 2500, 1.1, directed = true, seed = 2))
+    memo("smallWeb")(GraphGen.powerLaw(spark, "WEB", 400, 2500, 1.1, directed = true, seed = 2))
 
   /** 20×20 grid + 40 shortcuts, directed (road-like). */
   def smallGrid(spark: SparkSession): (Graph, CompactGraph) =

@@ -39,15 +39,15 @@ class GraphGenSpec extends SparkSpec {
   }
 
   test("powerLaw: deterministic in the seed") {
-    val a = GraphGen.powerLaw(spark, "A", "t", 200, 800, 0.9, directed = false, seed = 5)
-    val b = GraphGen.powerLaw(spark, "B", "t", 200, 800, 0.9, directed = false, seed = 5)
+    val a = GraphGen.powerLaw(spark, "A", 200, 800, 0.9, directed = false, seed = 5)
+    val b = GraphGen.powerLaw(spark, "B", 200, 800, 0.9, directed = false, seed = 5)
     assert(a.edges.except(b.edges).count() === 0)
     assert(b.edges.except(a.edges).count() === 0)
   }
 
   test("powerLaw: different seeds give different graphs") {
-    val a = GraphGen.powerLaw(spark, "A", "t", 200, 800, 0.9, directed = false, seed = 5)
-    val b = GraphGen.powerLaw(spark, "B", "t", 200, 800, 0.9, directed = false, seed = 6)
+    val a = GraphGen.powerLaw(spark, "A", 200, 800, 0.9, directed = false, seed = 5)
+    val b = GraphGen.powerLaw(spark, "B", 200, 800, 0.9, directed = false, seed = 6)
     assert(a.edges.except(b.edges).count() > 0)
   }
 
@@ -56,7 +56,7 @@ class GraphGenSpec extends SparkSpec {
     def edgesAt(parallelism: Int): Set[(Long, Long)] =
       try {
         spark.conf.set(conf, parallelism.toLong)
-        val g = GraphGen.powerLaw(spark, "P", "t", 200, 800, 0.9, directed = true, seed = 5)
+        val g = GraphGen.powerLaw(spark, "P", 200, 800, 0.9, directed = true, seed = 5)
         val edges = g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
         g.edges.unpersist()
         edges
@@ -71,7 +71,7 @@ class GraphGenSpec extends SparkSpec {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     // 1000 of the 1770 possible edges on 60 vertices: the first round's
     // skewed draws collapse under dedup below the target, so a top-up round runs.
-    val g = GraphGen.powerLaw(spark, "T", "t", 60, 1000, 0.9, directed = false, seed = 9)
+    val g = GraphGen.powerLaw(spark, "T", 60, 1000, 0.9, directed = false, seed = 9)
     assert((spark.sparkContext.getPersistentRDDs.keySet -- before).size === 1)
     assert(g.edges.storageLevel !== StorageLevel.NONE)
   }

@@ -42,7 +42,7 @@ class GraphOpsSpec extends SparkSpec {
 
   test("compact fails loudly when numVertices does not fit in an Int") {
     val noEdges = spark.range(0).select(col("id") as "src", col("id") as "dst")
-    val g = Graph("huge", "Web", directed = true, Int.MaxValue + 1L, noEdges)
+    val g = Graph("huge", directed = true, Int.MaxValue + 1L, noEdges)
     intercept[ArithmeticException](g.compact())
   }
 
@@ -50,7 +50,7 @@ class GraphOpsSpec extends SparkSpec {
     import spark.implicits._
     // 4294967297 would narrow to vertex 1 if it were cast to Int unchecked.
     for (bad <- Seq(4L, 4294967297L)) {
-      val g = Graph("bad", "Web", directed = true, 4, Seq((0L, bad)).toDF("src", "dst"))
+      val g = Graph("bad", directed = true, 4, Seq((0L, bad)).toDF("src", "dst"))
       val e = intercept[IllegalArgumentException](g.compact())
       assert(e.getMessage.contains(s"(0, $bad)"))
     }

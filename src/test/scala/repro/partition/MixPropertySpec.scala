@@ -5,7 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 /** ScalaCheck-generator-driven properties of the shared deterministic
-  * hashes and cost accounting (hand-rolled loop; the scalatest-scalacheck
+  * hashes and stream orders (hand-rolled loop; the scalatest-scalacheck
   * bridge artifact is not available offline).
   */
 class MixPropertySpec extends AnyFunSuite {
@@ -56,18 +56,6 @@ class MixPropertySpec extends AnyFunSuite {
       .map(i => Mix.edge(i * 13 % 4001, i * 7 % 4003, 5, 16))
       .groupBy(identity).view.mapValues(_.size)
     counts.values.foreach(c => assert(c > 600 && c < 1500, counts.toMap))
-  }
-
-  test("PartitionCost addition accumulates every field") {
-    (0 until 100).foreach { i =>
-      val a = sample(Gen.chooseNum(0L, 1000L), i)
-      val b = sample(Gen.chooseNum(0L, 1000L), i + 500)
-      val c = PartitionCost(a, a, a, 1) + PartitionCost(b, b, b, 2)
-      assert(c.edgesStreamed === a + b)
-      assert(c.scoreEvals === a + b)
-      assert(c.heavyOps === a + b)
-      assert(c.passes === 3)
-    }
   }
 
   test("StreamOrder is a permutation") {
