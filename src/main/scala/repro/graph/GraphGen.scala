@@ -54,7 +54,8 @@ object GraphGen {
     * deduplicated, undirected edges canonicalized as src < dst.
     *
     * @param numV     number of vertices (ids dense in [0, numV))
-    * @param numE     target edge count (reached via seeded top-up rounds)
+    * @param numE     target edge count, reached via at most 8 seeded rounds;
+    *                 throws if the rounds end short of it
     * @param alpha    zipf exponent for endpoint draw (≈0.7 mild … ≈1.2 heavy)
     * @param locality fraction of edges drawn from the local neighborhood
     */
@@ -113,6 +114,11 @@ object GraphGen {
         .dropDuplicates("src", "dst")
         .cache()
       have = rounds.last.count()
+    }
+    if (have < numE) {
+      rounds.foreach(_.unpersist())
+      throw new IllegalArgumentException(
+        s"powerLaw $name: $have distinct edges after ${rounds.length} rounds, short of numE = $numE")
     }
     // Materialize the result before releasing the rounds it was built from,
     // so that unpersisting them neither drops nor recomputes it.

@@ -1,7 +1,6 @@
 package repro.metrics
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.graph.{Graph, GraphOps}
@@ -41,57 +40,78 @@ final case class VertexCutQuality(
 
 /** Partition-quality metrics over the assignment DataFrames (`(src, dst,
   * part)` for edge partitionings, `(vid, part)` for vertex partitionings).
-  * Each metric is one Spark SQL aggregate ending in one `collect`. Every
-  * metric here has a DuckDB oracle test.
+  * Each metric is one pass over its rows with no shuffle: every map task
+  * folds its rows into a few primitive arrays (a [[Fold]]), `RDD.reduce`
+  * merges those on the driver, and the driver derives the per-part loads.
+  * Every metric here has a DuckDB oracle test.
   *
-  * The `collect` goes through `.rdd`, so no SQL execution is recorded per
-  * call: Spark's listener threads keep the last recorded execution, with its
+  * A task counts a row that names a part outside `[0, k)` or a vertex
+  * outside `[0, |V|)` instead of indexing it. The driver then throws an
+  * `IllegalArgumentException` that names the first such row, rather than a
+  * task failing with a wrapped `SparkException`.
+  *
+  * The pass goes through `.rdd`, so no SQL execution is recorded per call:
+  * Spark's listener threads keep the last recorded execution, with its
   * whole plan and the assignment rows in it, reachable until the next event.
   */
 object PartitionMetrics {
 
-  /** Metrics of an edge partitioning (vertex-cut). Each edge end becomes a
-    * `(part, vid)` row; grouping those rows gives the covered vertices of
-    * each part, with the part's edges counted once, at their source.
+  /** Metrics of an edge partitioning (vertex-cut), for `1 <= k <= 64`. Each
+    * task counts its edges per part and ORs bit p into a `|V|`-long cover
+    * mask at both ends of every edge in part p. The driver reads the merged
+    * masks: `verts(p)` counts the masks with bit p set, and `syncVerts(p)`
+    * counts those of them with at least two bits set.
     */
   def edgeCutQuality(g: Graph, edgeDf: DataFrame, k: Int): EdgeCutQuality = {
-    val rows = edgeDf
-      .select(col("part"), posexplode(array(col("src"), col("dst"))) as Seq("end", "vid"))
-      .groupBy("part", "vid")
-      .agg(sum((col("end") === 0).cast(LongType)) as "e")
-      .withColumn("r", count(lit(1)).over(Window.partitionBy("vid")))
-      .groupBy("part")
-      .agg(
-        sum("e") as "edges",
-        count(lit(1)) as "verts",
-        sum((col("r") >= 2).cast(LongType)) as "syncVerts",
-      )
-      .rdd
-      .collect()
-    val loads = perPart(rows, k, "edges", "verts", "syncVerts")(EdgePartLoad.apply)
-    val sumV = loads.map(_.verts).sum
+    require(k >= 1 && k <= 64, s"k = $k: cover masks hold 1 to 64 parts")
+    val n = Math.toIntExact(g.numVertices)
+    val f = fold("edgeDf", edgeDf.select("src", "dst", "part"), k, n) { (f, r) =>
+      val s = r.getLong(0)
+      val d = r.getLong(1)
+      val p = r.getInt(2)
+      if (p < 0 || p >= k) f.reject(s"part $p lies outside [0, $k)")
+      else if (s < 0 || s >= n || d < 0 || d >= n) f.reject(s"edge ($s, $d) has an endpoint outside [0, $n)")
+      else {
+        f.sums(p) += 1
+        f.masks(s.toInt) |= 1L << p
+        f.masks(d.toInt) |= 1L << p
+      }
+    }
+    val verts = new Array[Long](k)
+    val sync = new Array[Long](k)
+    f.masks.foreach { m =>
+      val shared = java.lang.Long.bitCount(m) >= 2
+      var bits = m
+      while (bits != 0) {
+        val p = java.lang.Long.numberOfTrailingZeros(bits)
+        verts(p) += 1
+        if (shared) sync(p) += 1
+        bits &= bits - 1
+      }
+    }
+    val loads = (0 until k).map(p => EdgePartLoad(p, f.sums(p), verts(p), sync(p)))
     EdgeCutQuality(
       k = k,
       numVertices = g.numVertices,
-      numEdges = loads.map(_.edges).sum,
-      replicationFactor = sumV.toDouble / g.numVertices,
-      edgeBalance = balance(loads.map(_.edges)),
-      vertexBalance = balance(loads.map(_.verts)),
+      numEdges = f.sums.sum,
+      replicationFactor = verts.sum.toDouble / g.numVertices,
+      edgeBalance = balance(f.sums.toSeq),
+      vertexBalance = balance(verts.toSeq),
       perPart = loads,
     )
   }
 
   /** Metrics of a vertex partitioning (edge-cut). One row per vertex (at
     * its part, with its [[GraphOps.isTrain]] flag) and one row per edge (at
-    * its source's part) feed a single `groupBy(part)`.
+    * its source's part) are folded into four sums per part: vertices,
+    * training vertices, local edges and cut edges.
     *
     * Every part comes from a partition book, `vertexDf` read once into a
     * `vid`-indexed array and broadcast, as DistDGL replicates its book on
     * every machine. So the vertex rows are generated over `[0, |V|)` and the
-    * edge table is scanned in place, and the only shuffle carries each map
-    * task's partial aggregate. The book is destroyed once the aggregate is
-    * collected. Throws if `vertexDf` does not give every vertex in
-    * `[0, |V|)` exactly one row.
+    * edge table is scanned in place. The book is destroyed after the pass.
+    * Throws unless `vertexDf` gives every vertex in `[0, |V|)` exactly one
+    * row with a part in `[0, k)`, and on an edge endpoint outside `[0, |V|)`.
     */
   def vertexCutQuality(
       g: Graph,
@@ -99,24 +119,29 @@ object PartitionMetrics {
       vertexDf: DataFrame,
       k: Int,
   ): VertexCutQuality = {
-    val book = spark.sparkContext.broadcast(partitionBook(vertexDf, g.numVertices))
-    val partOf = udf((vid: Long) => book.value(vid.toInt))
-    val vertexRows = spark.range(g.numVertices)
+    val n = g.numVertices
+    val book = spark.sparkContext.broadcast(partitionBook(vertexDf, n, k))
+    val partOf = udf((vid: Long) => if (vid >= 0 && vid < n) book.value(vid.toInt) else NoVertex)
+    val vertexRows = spark.range(n)
       .select(partOf(col("id")) as "part", lit(1L) as "v", GraphOps.isTrain(col("id")).cast(LongType) as "t",
         lit(0L) as "local", lit(0L) as "cut")
     val local = col("psrc") === col("pdst")
+    // only `part` reaches the fold, so a destination outside the book marks it
     val edgeRows = g.edges
       .select(partOf(col("src")) as "psrc", partOf(col("dst")) as "pdst")
-      .select(col("psrc") as "part", lit(0L) as "v", lit(0L) as "t",
-        local.cast(LongType) as "local", (!local).cast(LongType) as "cut")
-    val byPart = vertexRows
-      .union(edgeRows)
-      .groupBy("part")
-      .agg(sum("v") as "verts", sum("t") as "trainVerts", sum("local") as "localEdges",
-        sum("cut") as "cut")
-    val rows = try byPart.rdd.collect() finally book.destroy()
-    val loads = perPart(rows, k, "verts", "trainVerts", "localEdges")(VertexPartLoad.apply)
-    val cut = rows.map(_.getAs[Long]("cut")).sum
+      .select(when(col("pdst") === NoVertex, NoVertex).otherwise(col("psrc")) as "part", lit(0L) as "v",
+        lit(0L) as "t", local.cast(LongType) as "local", (!local).cast(LongType) as "cut")
+    val f =
+      try fold("g.edges", vertexRows.union(edgeRows), 4 * k, 0) { (f, r) =>
+        val p = r.getInt(0)
+        if (p == NoVertex) f.reject(s"an edge endpoint lies outside [0, $n)")
+        else {
+          var j = 0
+          while (j < 4) { f.sums(4 * p + j) += r.getLong(1 + j); j += 1 }
+        }
+      } finally book.destroy()
+    val loads = (0 until k).map(p => VertexPartLoad(p, f.sums(4 * p), f.sums(4 * p + 1), f.sums(4 * p + 2)))
+    val cut = (0 until k).map(p => f.sums(4 * p + 3)).sum
     val numE = loads.map(_.localEdges).sum + cut
     VertexCutQuality(
       k = k,
@@ -129,40 +154,70 @@ object PartitionMetrics {
     )
   }
 
+  /** The part a vertex outside the book maps to. */
+  private val NoVertex = -1
+
   /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows.
-    * Throws unless every vid in `[0, n)` has exactly one row.
+    * Throws unless every vid in `[0, n)` has exactly one row and every part
+    * lies in `[0, k)`.
     */
-  private def partitionBook(vertexDf: DataFrame, n: Long): Array[Int] = {
+  private def partitionBook(vertexDf: DataFrame, n: Long, k: Int): Array[Int] = {
     val book = new Array[Int](Math.toIntExact(n))
     val seen = new Array[Boolean](book.length)
     vertexDf.select("vid", "part").rdd.collect().foreach { r =>
       val v = r.getLong(0)
+      val p = r.getInt(1)
       require(v >= 0 && v < n, s"vertexDf: vid $v lies outside [0, $n)")
       require(!seen(v.toInt), s"vertexDf: vid $v has more than one row")
+      require(p >= 0 && p < k, s"vertexDf: vid $v has part $p, outside [0, $k)")
       seen(v.toInt) = true
-      book(v.toInt) = r.getInt(1)
+      book(v.toInt) = p
     }
     val missing = seen.indexOf(false)
     require(missing < 0, s"vertexDf: vid $missing has no row")
     book
   }
 
-  /** One load per partition, in part order, from aggregated `(part, a, b, c)`
-    * rows. Parts in 0 until k without a row get zero loads: empty partitions
-    * still count toward the balance denominators. Throws on a part outside
-    * `[0, k)`, which would otherwise count as an extra partition.
+  /** One pass over `df`: each map task folds its rows with `add` into a
+    * [[Fold]] of `numSums` and `numMasks` zeros, and `RDD.reduce` merges the
+    * folds on the driver. Throws if any row was rejected.
     */
-  private def perPart[L](rows: Array[Row], k: Int, a: String, b: String, c: String)(
-      load: (Int, Long, Long, Long) => L,
-  ): Seq[L] = {
-    val got = rows.map { r =>
-      val p = r.getAs[Int]("part")
-      require(p >= 0 && p < k, s"part $p lies outside [0, $k)")
-      p -> (r.getAs[Long](a), r.getAs[Long](b), r.getAs[Long](c))
-    }.toMap
-    (0 until k).map { p =>
-      val (x, y, z) = got.getOrElse(p, (0L, 0L, 0L))
-      load(p, x, y, z)
+  private def fold(what: String, df: DataFrame, numSums: Int, numMasks: Int)(add: (Fold, Row) => Unit): Fold = {
+    val f = df.rdd
+      .mapPartitionsWithIndex { (task, rows) =>
+        val acc = new Fold(task, numSums, numMasks)
+        rows.foreach(add(acc, _))
+        Iterator(acc)
+      }
+      .reduce(_ merge _)
+    require(f.bad == 0, s"$what: ${f.bad} row(s) out of range, the first: ${f.first}")
+    f
+  }
+
+  /** One map task's partial result: `sums`, which merging adds, `masks`,
+    * which merging ORs, and the count of rejected rows with the first of
+    * them described. `task` orders the folds, so that the row described
+    * after a merge is the first in row order.
+    */
+  private final class Fold(var task: Int, numSums: Int, numMasks: Int) extends Serializable {
+    val sums = new Array[Long](numSums)
+    val masks = new Array[Long](numMasks)
+    var bad = 0L
+    var first = ""
+
+    def reject(what: => String): Unit = {
+      if (bad == 0) first = what
+      bad += 1
+    }
+
+    def merge(o: Fold): Fold = {
+      var i = 0
+      while (i < sums.length) { sums(i) += o.sums(i); i += 1 }
+      i = 0
+      while (i < masks.length) { masks(i) |= o.masks(i); i += 1 }
+      if (o.bad > 0 && (bad == 0 || o.task < task)) { first = o.first; task = o.task }
+      bad += o.bad
+      this
     }
   }
 

@@ -11,9 +11,9 @@ import org.scalatest.funsuite.AnyFunSuite
   * limit). Broadcast joins are disabled so that the test-only
   * `SparkSampler` joins run as shuffles even on the small test graphs, as
   * they would on graphs too large to broadcast. The setting does not touch
-  * the metrics, which have no join: `edgeCutQuality`'s exchanges are
-  * shuffles either way, and `vertexCutQuality` broadcasts its partition
-  * book itself.
+  * the metrics, which have no join and no exchange: each is one pass of map
+  * tasks merged on the driver, and `vertexCutQuality` broadcasts its
+  * partition book itself.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -76,6 +76,14 @@ class GraphGenSpec extends SparkSpec {
     assert(g.edges.storageLevel !== StorageLevel.NONE)
   }
 
+  test("powerLaw: throws when its rounds end short of the edge target") {
+    // 4 undirected vertices have at most 6 distinct edges
+    val e = intercept[IllegalArgumentException] {
+      GraphGen.powerLaw(spark, "SHORT", 4, 100, 0.9, directed = false, seed = 3)
+    }
+    assert(e.getMessage.contains("SHORT") && e.getMessage.contains("numE = 100"), e.getMessage)
+  }
+
   test("powerLaw: degree distribution is skewed (hub much above mean)") {
     val (g, cg) = TestGraphs.smallPowerLaw(spark)
     val mean = cg.meanDegree

@@ -1,7 +1,8 @@
 package repro.metrics
 
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerStageSubmitted, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
@@ -9,6 +10,7 @@ import repro.graph.GraphOps
 import repro.partition._
 import repro.partition.edge.RandomEdge
 import repro.partition.vertex.RandomVertex
+import scala.collection.concurrent.TrieMap
 
 class PartitionMetricsSpec extends SparkSpec {
 
@@ -146,37 +148,88 @@ class PartitionMetricsSpec extends SparkSpec {
     assert(q.perPart.map(_.trainVerts).sum > 0)
   }
 
-  test("vertexCutQuality shuffles at most k partial-aggregate rows per map task") {
-    val (g, cg) = TestGraphs.smallWeb(spark)
-    val k = 4
-    val vdf = PartitionBridge.vertexDf(
-      spark, RandomVertex.partition(cg, k, new Array[Boolean](cg.numVertices), 3).part)
+  /** Runs `body` under a listener that sees only the jobs this thread
+    * starts, and returns the task count of each of those jobs, in job
+    * order, with the shuffle records their tasks wrote.
+    */
+  private def sparkWork(body: => Unit): (Seq[Int], Long) = {
     val sc = spark.sparkContext
-    val tag = "vertexCutQuality-shuffle"
-    // counts only the stages this thread submits under the tag
+    val tag = "partition-metrics-work"
+    val jobOfStage = TrieMap.empty[Int, Int]
+    val tasks = TrieMap.empty[Int, Int]
+    val records = new AtomicLong
     val counter = new SparkListener {
-      val stages = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
-      @volatile var mapTasks = 0
-      @volatile var records = 0L
-      override def onStageSubmitted(e: SparkListenerStageSubmitted): Unit =
-        if (Option(e.properties).exists(_.getProperty(tag) != null)) stages.add(e.stageInfo.stageId)
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(tag) != null)) {
+          tasks.put(e.jobId, 0)
+          e.stageIds.foreach(jobOfStage.put(_, e.jobId))
+        }
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (stages.contains(e.stageId) && e.taskType == "ShuffleMapTask") {
-          mapTasks += 1
-          records += e.taskMetrics.shuffleWriteMetrics.recordsWritten
+        jobOfStage.get(e.stageId).foreach { job =>
+          tasks.put(job, tasks(job) + 1)
+          records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
         }
     }
     sc.addSparkListener(counter)
     sc.setLocalProperty(tag, "1")
-    try PartitionMetrics.vertexCutQuality(g, spark, vdf, k)
+    try body
     finally {
       sc.setLocalProperty(tag, null)
       ListenerBusDrain(sc)
       sc.removeSparkListener(counter)
     }
-    assert(counter.mapTasks > 0)
-    assert(counter.records <= k.toLong * counter.mapTasks,
-      s"${counter.records} shuffle records from ${counter.mapTasks} map tasks (|E| = ${g.numEdges})")
+    (tasks.toSeq.sortBy(_._1).map(_._2), records.get)
+  }
+
+  test("each metric is one shuffle-free pass: 1 job for edgeCutQuality, 2 for vertexCutQuality") {
+    val (g, cg) = TestGraphs.smallWeb(spark)
+    val k = 4
+    val edf = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, k, 3).part)
+    val vdf = PartitionBridge.vertexDf(
+      spark, RandomVertex.partition(cg, k, new Array[Boolean](cg.numVertices), 3).part)
+    val (edgeJobs, edgeRecords) = sparkWork(PartitionMetrics.edgeCutQuality(g, edf, k))
+    val (vertexJobs, vertexRecords) = sparkWork(PartitionMetrics.vertexCutQuality(g, spark, vdf, k))
+    assert(edgeJobs.size === 1, s"edgeCutQuality tasks per job: $edgeJobs")
+    // the partition book's collect, then the pass
+    assert(vertexJobs.size === 2, s"vertexCutQuality tasks per job: $vertexJobs")
+    assert((edgeJobs ++ vertexJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs")
+    assert(edgeRecords === 0L && vertexRecords === 0L, s"shuffle records: $edgeRecords, $vertexRecords")
+  }
+
+  /** The loads of an edge assignment recomputed on the driver from sets,
+    * with no bitmask: each part's edges, its covered vertices, and those
+    * of them covered by at least two parts.
+    */
+  private def driverEdgeLoads(src: Array[Int], dst: Array[Int], assign: Array[Int], k: Int): Seq[EdgePartLoad] = {
+    val cover = (0 until k).map(p =>
+      assign.indices.filter(assign(_) == p).flatMap(i => Seq(src(i), dst(i))).toSet)
+    val copies = cover.flatten.groupBy(identity).map { case (v, ps) => v -> ps.size }
+    (0 until k).map(p =>
+      EdgePartLoad(p, assign.count(_ == p).toLong, cover(p).size.toLong, cover(p).count(copies(_) >= 2).toLong))
+  }
+
+  // k = 64 uses part 63, whose mask bit is the sign bit; the last two leave
+  // most parts empty
+  private val maskCases: Seq[(String, Int, Array[Int] => Array[Int])] = Seq(
+    ("k=1", 1, a => a.map(_ => 0)),
+    ("k=4", 4, a => a.map(_ % 4)),
+    ("k=64 with part 63", 64, a => { val b = a.clone(); b(0) = 63; b(1) = 63; b }),
+    ("parts {3, 63} of k=64", 64, a => a.map(p => if (p % 2 == 0) 3 else 63)),
+    ("part 2 alone of k=8", 8, a => a.map(_ => 2)),
+  )
+
+  for ((name, k, reshape) <- maskCases) {
+    test(s"edgeCutQuality equals a driver recomputation ($name)") {
+      val (g, cg) = TestGraphs.smallPowerLaw(spark)
+      val assign = reshape(RandomEdge.partition(cg, 64, 3).part)
+      val q = PartitionMetrics.edgeCutQuality(g, PartitionBridge.edgeDf(spark, cg, assign), k)
+      val want = driverEdgeLoads(cg.src, cg.dst, assign, k)
+      assert(q.perPart === want)
+      assert(q.numEdges === cg.numEdges.toLong)
+      assert(q.replicationFactor === want.map(_.verts).sum.toDouble / g.numVertices)
+      assert(q.edgeBalance === PartitionMetrics.balance(want.map(_.edges)))
+      assert(q.vertexBalance === PartitionMetrics.balance(want.map(_.verts)))
+    }
   }
 
   /** Scores a random k=4 book of smallWeb after `edit` has broken it, and
@@ -218,5 +271,47 @@ class PartitionMetricsSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       PartitionMetrics.vertexCutQuality(g, spark, PartitionBridge.vertexDf(spark, assign), 4)
     }
+  }
+
+  test("edgeCutQuality throws on a negative part") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val assign = RandomEdge.partition(cg, 4, 3).part
+    assign(7) = -1
+    val e = intercept[IllegalArgumentException] {
+      PartitionMetrics.edgeCutQuality(g, PartitionBridge.edgeDf(spark, cg, assign), 4)
+    }
+    assert(e.getMessage.contains("part -1"), e.getMessage)
+  }
+
+  test("vertexCutQuality throws on a negative part") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val assign = RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part
+    assign(7) = -1
+    val e = intercept[IllegalArgumentException] {
+      PartitionMetrics.vertexCutQuality(g, spark, PartitionBridge.vertexDf(spark, assign), 4)
+    }
+    assert(e.getMessage.contains("part -1"), e.getMessage)
+  }
+
+  test("edgeCutQuality throws on k = 65, beyond its 64-bit cover masks") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    intercept[IllegalArgumentException] {
+      PartitionMetrics.edgeCutQuality(g, PartitionBridge.edgeDf(spark, cg, new Array[Int](cg.numEdges)), 65)
+    }
+  }
+
+  test("edgeCutQuality throws on an edge endpoint equal to |V|") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val df = PartitionBridge.edgeDf(spark, cg, new Array[Int](cg.numEdges))
+      .union(spark.range(1).select(lit(0L) as "src", lit(g.numVertices) as "dst", lit(0) as "part"))
+    val e = intercept[IllegalArgumentException](PartitionMetrics.edgeCutQuality(g, df, 4))
+    assert(e.getMessage.contains(s"edge (0, ${g.numVertices})"), e.getMessage)
+  }
+
+  test("vertexCutQuality throws on an edge endpoint equal to |V|") {
+    val (g, cg) = TestGraphs.smallPowerLaw(spark)
+    val bad = g.copy(edges = g.edges.union(spark.range(1).select(lit(g.numVertices) as "src", lit(0L) as "dst")))
+    val vdf = PartitionBridge.vertexDf(spark, new Array[Int](cg.numVertices))
+    intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(bad, spark, vdf, 4))
   }
 }
