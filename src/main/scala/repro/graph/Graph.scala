@@ -1,6 +1,11 @@
 package repro.graph
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{BooleanType, DataType, LongType}
+import scala.collection.mutable.ArrayBuilder
 
 /** A graph held as a Spark DataFrame of edges plus metadata.
   *
@@ -21,25 +26,104 @@ final case class Graph(
   /** Number of edges (cached on first call by the caller if needed). */
   lazy val numEdges: Long = edges.count()
 
+  /** The graph in primitive blocks, for the metrics that scan the whole
+    * graph: one block of edges per partition of `edges`, then one block of
+    * vertices per partition of `range(numVertices)`, each vid range with its
+    * [[GraphOps.isTrain]] vids. Cached `MEMORY_ONLY` but built by the first
+    * job that reads it, so no job runs here; a `copy` gets its own blocks.
+    * Throws if `numVertices` does not fit in an `Int`.
+    */
+  lazy val blocks: RDD[GraphBlock] = {
+    val n = Math.toIntExact(numVertices)
+    val edgeBlocks = Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
+      .mapPartitions { rows =>
+        val src = ArrayBuilder.make[Int]
+        val dst = ArrayBuilder.make[Int]
+        rows.foreach { r =>
+          val s = r.getLong(0); val d = r.getLong(1)
+          src += (if (s >= 0 && s < n) s.toInt else GraphBlock.NoVertex)
+          dst += (if (d >= 0 && d < n) d.toInt else GraphBlock.NoVertex)
+        }
+        Iterator(GraphBlock(0, 0, Array.emptyIntArray, src.result(), dst.result()))
+      }
+    val ids = edges.sparkSession.range(n).select(col("id") as "vid", GraphOps.isTrain(col("id")) as "train")
+    val vertexBlocks = Graph.internalRows(ids, name, "vid" -> LongType, "train" -> BooleanType)
+      .mapPartitions { rows =>
+        // a range partition holds consecutive vids
+        var from = -1
+        var until = -1
+        val train = ArrayBuilder.make[Int]
+        rows.foreach { r =>
+          val v = r.getLong(0).toInt
+          if (from < 0) from = v
+          until = v + 1
+          if (r.getBoolean(1)) train += v
+        }
+        if (from < 0) Iterator.empty
+        else Iterator(GraphBlock(from, until, train.result(), Array.emptyIntArray, Array.emptyIntArray))
+      }
+    edgeBlocks.union(vertexBlocks).setName(s"$name blocks").cache()
+  }
+
   /** Collect to a driver-side CSR for the sequential partitioners. Throws
     * if an endpoint lies outside `[0, numVertices)`.
     */
   def compact(): CompactGraph = {
     val n = Math.toIntExact(numVertices)
-    val rows = edges.select("src", "dst").collect()
-    val src = new Array[Int](rows.length)
-    val dst = new Array[Int](rows.length)
+    val parts = Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
+      .mapPartitions { rows =>
+        val src = ArrayBuilder.make[Long]
+        val dst = ArrayBuilder.make[Long]
+        rows.foreach { r => src += r.getLong(0); dst += r.getLong(1) }
+        Iterator((src.result(), dst.result()))
+      }
+      .collect()
+    val src = new Array[Int](parts.map(_._1.length).sum)
+    val dst = new Array[Int](src.length)
     var i = 0
-    while (i < rows.length) {
-      val s = rows(i).getLong(0); val d = rows(i).getLong(1)
-      require(s >= 0 && s < n && d >= 0 && d < n,
-        s"$name: edge ($s, $d) has an endpoint outside [0, $n)")
-      src(i) = s.toInt
-      dst(i) = d.toInt
-      i += 1
+    for ((ps, pd) <- parts) {
+      var j = 0
+      while (j < ps.length) {
+        val s = ps(j); val d = pd(j)
+        require(s >= 0 && s < n && d >= 0 && d < n,
+          s"$name: edge ($s, $d) has an endpoint outside [0, $n)")
+        src(i) = s.toInt
+        dst(i) = d.toInt
+        i += 1
+        j += 1
+      }
     }
     new CompactGraph(n, src, dst, directed)
   }
+}
+
+object Graph {
+
+  /** The `cols` of `df` as Catalyst rows, read with no per-row
+    * deserializer. Throws unless each column has its given type, since an
+    * internal row's getters do not check types. A row is reused for the
+    * next one, so read its fields before moving on.
+    */
+  private[repro] def internalRows(df: DataFrame, what: String, cols: (String, DataType)*): RDD[InternalRow] = {
+    val sel = df.select(cols.map(c => col(c._1)): _*)
+    val got = sel.schema.map(f => f.name -> f.dataType)
+    require(got == cols, s"$what: columns ${got.mkString(", ")}, expected ${cols.mkString(", ")}")
+    sel.queryExecution.toRdd
+  }
+}
+
+/** One block of [[Graph.blocks]], in primitive arrays. An edge block holds
+  * the edges `(src(i), dst(i))` of one partition of `Graph.edges`, with an
+  * endpoint outside `[0, |V|)` stored as [[GraphBlock.NoVertex]], and an
+  * empty vid range. A vertex block holds the vid range `[from, until)` and
+  * the training vids in it, and no edges.
+  */
+final case class GraphBlock(from: Int, until: Int, train: Array[Int], src: Array[Int], dst: Array[Int])
+
+object GraphBlock {
+
+  /** The vid of an edge endpoint outside `[0, |V|)`. */
+  val NoVertex: Int = -1
 }
 
 /** Driver-side compressed graph for the sequential (streaming / in-memory)

@@ -1,9 +1,10 @@
 package repro.metrics
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
-import repro.graph.{Graph, GraphOps}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, LongType}
+import repro.graph.{Graph, GraphBlock}
+import scala.collection.mutable.ArrayBuilder
 
 /** Per-partition load for a vertex-cut (edge partitioning):
   * @param edges     edges assigned to the partition
@@ -40,19 +41,20 @@ final case class VertexCutQuality(
 
 /** Partition-quality metrics over the assignment DataFrames (`(src, dst,
   * part)` for edge partitionings, `(vid, part)` for vertex partitionings).
-  * Each metric is one pass over its rows with no shuffle: every map task
-  * folds its rows into a few primitive arrays (a [[Fold]]), `RDD.reduce`
-  * merges those on the driver, and the driver derives the per-part loads.
-  * Every metric here has a DuckDB oracle test.
+  * Each metric is one pass with no shuffle: every map task folds its items
+  * into a few primitive arrays (a [[Fold]]), `RDD.reduce` merges those on
+  * the driver, and the driver derives the per-part loads. Every metric here
+  * has a DuckDB oracle test.
   *
-  * A task counts a row that names a part outside `[0, k)` or a vertex
+  * A task counts an item that names a part outside `[0, k)` or a vertex
   * outside `[0, |V|)` instead of indexing it. The driver then throws an
-  * `IllegalArgumentException` that names the first such row, rather than a
+  * `IllegalArgumentException` that names the first such item, rather than a
   * task failing with a wrapped `SparkException`.
   *
-  * The pass goes through `.rdd`, so no SQL execution is recorded per call:
-  * Spark's listener threads keep the last recorded execution, with its
-  * whole plan and the assignment rows in it, reachable until the next event.
+  * DataFrames are read through `queryExecution.toRdd`, as Catalyst rows
+  * with no deserializer, so no SQL execution is recorded per call: Spark's
+  * listener threads would keep the last recorded execution, with its whole
+  * plan and the assignment rows in it, reachable until the next event.
   */
 object PartitionMetrics {
 
@@ -65,7 +67,8 @@ object PartitionMetrics {
   def edgeCutQuality(g: Graph, edgeDf: DataFrame, k: Int): EdgeCutQuality = {
     require(k >= 1 && k <= 64, s"k = $k: cover masks hold 1 to 64 parts")
     val n = Math.toIntExact(g.numVertices)
-    val f = fold("edgeDf", edgeDf.select("src", "dst", "part"), k, n) { (f, r) =>
+    val rows = Graph.internalRows(edgeDf, "edgeDf", "src" -> LongType, "dst" -> LongType, "part" -> IntegerType)
+    val f = fold("edgeDf", rows, k, n) { (f, r) =>
       val s = r.getLong(0)
       val d = r.getLong(1)
       val p = r.getInt(2)
@@ -101,17 +104,17 @@ object PartitionMetrics {
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut). One row per vertex (at
-    * its part, with its [[GraphOps.isTrain]] flag) and one row per edge (at
-    * its source's part) are folded into four sums per part: vertices,
-    * training vertices, local edges and cut edges.
+  /** Metrics of a vertex partitioning (edge-cut): four sums per part,
+    * of vertices, training vertices, local edges and cut edges, one pass
+    * over the graph's primitive [[Graph.blocks]]. A vertex block counts
+    * each vid at its part and each training vid again; an edge block counts
+    * each edge at its source's part, as local or cut.
     *
     * Every part comes from a partition book, `vertexDf` read once into a
     * `vid`-indexed array and broadcast, as DistDGL replicates its book on
-    * every machine. So the vertex rows are generated over `[0, |V|)` and the
-    * edge table is scanned in place. The book is destroyed after the pass.
-    * Throws unless `vertexDf` gives every vertex in `[0, |V|)` exactly one
-    * row with a part in `[0, k)`, and on an edge endpoint outside `[0, |V|)`.
+    * every machine; the book is destroyed after the pass. Throws unless
+    * `vertexDf` gives every vertex in `[0, |V|)` exactly one row with a
+    * part in `[0, k)`, and on an edge endpoint outside `[0, |V|)`.
     */
   def vertexCutQuality(
       g: Graph,
@@ -121,23 +124,21 @@ object PartitionMetrics {
   ): VertexCutQuality = {
     val n = g.numVertices
     val book = spark.sparkContext.broadcast(partitionBook(vertexDf, n, k))
-    val partOf = udf((vid: Long) => if (vid >= 0 && vid < n) book.value(vid.toInt) else NoVertex)
-    val vertexRows = spark.range(n)
-      .select(partOf(col("id")) as "part", lit(1L) as "v", GraphOps.isTrain(col("id")).cast(LongType) as "t",
-        lit(0L) as "local", lit(0L) as "cut")
-    val local = col("psrc") === col("pdst")
-    // only `part` reaches the fold, so a destination outside the book marks it
-    val edgeRows = g.edges
-      .select(partOf(col("src")) as "psrc", partOf(col("dst")) as "pdst")
-      .select(when(col("pdst") === NoVertex, NoVertex).otherwise(col("psrc")) as "part", lit(0L) as "v",
-        lit(0L) as "t", local.cast(LongType) as "local", (!local).cast(LongType) as "cut")
     val f =
-      try fold("g.edges", vertexRows.union(edgeRows), 4 * k, 0) { (f, r) =>
-        val p = r.getInt(0)
-        if (p == NoVertex) f.reject(s"an edge endpoint lies outside [0, $n)")
-        else {
-          var j = 0
-          while (j < 4) { f.sums(4 * p + j) += r.getLong(1 + j); j += 1 }
+      try fold("g.edges", g.blocks, 4 * k, 0) { (f, b) =>
+        val part = book.value
+        val sums = f.sums
+        var i = b.from
+        while (i < b.until) { sums(4 * part(i)) += 1; i += 1 }
+        i = 0
+        while (i < b.train.length) { sums(4 * part(b.train(i)) + 1) += 1; i += 1 }
+        i = 0
+        while (i < b.src.length) {
+          val s = b.src(i); val d = b.dst(i)
+          if (s == GraphBlock.NoVertex || d == GraphBlock.NoVertex) f.reject(s"an edge endpoint lies outside [0, $n)")
+          else if (part(s) == part(d)) sums(4 * part(s) + 2) += 1
+          else sums(4 * part(s) + 3) += 1
+          i += 1
         }
       } finally book.destroy()
     val loads = (0 until k).map(p => VertexPartLoad(p, f.sums(4 * p), f.sums(4 * p + 1), f.sums(4 * p + 2)))
@@ -154,39 +155,49 @@ object PartitionMetrics {
     )
   }
 
-  /** The part a vertex outside the book maps to. */
-  private val NoVertex = -1
-
-  /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows.
-    * Throws unless every vid in `[0, n)` has exactly one row and every part
-    * lies in `[0, k)`.
+  /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows,
+    * which each task hands over as one pair of primitive arrays. Throws
+    * unless every vid in `[0, n)` has exactly one row and every part lies
+    * in `[0, k)`.
     */
   private def partitionBook(vertexDf: DataFrame, n: Long, k: Int): Array[Int] = {
     val book = new Array[Int](Math.toIntExact(n))
     val seen = new Array[Boolean](book.length)
-    vertexDf.select("vid", "part").rdd.collect().foreach { r =>
-      val v = r.getLong(0)
-      val p = r.getInt(1)
-      require(v >= 0 && v < n, s"vertexDf: vid $v lies outside [0, $n)")
-      require(!seen(v.toInt), s"vertexDf: vid $v has more than one row")
-      require(p >= 0 && p < k, s"vertexDf: vid $v has part $p, outside [0, $k)")
-      seen(v.toInt) = true
-      book(v.toInt) = p
+    val slices = Graph.internalRows(vertexDf, "vertexDf", "vid" -> LongType, "part" -> IntegerType)
+      .mapPartitions { rows =>
+        val vids = ArrayBuilder.make[Long]
+        val parts = ArrayBuilder.make[Int]
+        rows.foreach { r => vids += r.getLong(0); parts += r.getInt(1) }
+        Iterator((vids.result(), parts.result()))
+      }
+      .collect()
+    for ((vids, parts) <- slices) {
+      var i = 0
+      while (i < vids.length) {
+        val v = vids(i)
+        val p = parts(i)
+        require(v >= 0 && v < n, s"vertexDf: vid $v lies outside [0, $n)")
+        require(!seen(v.toInt), s"vertexDf: vid $v has more than one row")
+        require(p >= 0 && p < k, s"vertexDf: vid $v has part $p, outside [0, $k)")
+        seen(v.toInt) = true
+        book(v.toInt) = p
+        i += 1
+      }
     }
     val missing = seen.indexOf(false)
     require(missing < 0, s"vertexDf: vid $missing has no row")
     book
   }
 
-  /** One pass over `df`: each map task folds its rows with `add` into a
-    * [[Fold]] of `numSums` and `numMasks` zeros, and `RDD.reduce` merges the
-    * folds on the driver. Throws if any row was rejected.
+  /** One pass over `items`: each map task folds its items with `add` into
+    * a [[Fold]] of `numSums` and `numMasks` zeros, and `RDD.reduce` merges
+    * the folds on the driver. Throws if any item was rejected.
     */
-  private def fold(what: String, df: DataFrame, numSums: Int, numMasks: Int)(add: (Fold, Row) => Unit): Fold = {
-    val f = df.rdd
-      .mapPartitionsWithIndex { (task, rows) =>
+  private def fold[T](what: String, items: RDD[T], numSums: Int, numMasks: Int)(add: (Fold, T) => Unit): Fold = {
+    val f = items
+      .mapPartitionsWithIndex { (task, it) =>
         val acc = new Fold(task, numSums, numMasks)
-        rows.foreach(add(acc, _))
+        it.foreach(add(acc, _))
         Iterator(acc)
       }
       .reduce(_ merge _)

@@ -13,7 +13,7 @@ import org.scalatest.funsuite.AnyFunSuite
   * they would on graphs too large to broadcast. The setting does not touch
   * the metrics, which have no join and no exchange: each is one pass of map
   * tasks merged on the driver, and `vertexCutQuality` broadcasts its
-  * partition book itself.
+  * partition book itself and scans the graph's cached `Graph.blocks`.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

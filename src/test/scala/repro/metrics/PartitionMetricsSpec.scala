@@ -182,18 +182,24 @@ class PartitionMetricsSpec extends SparkSpec {
   }
 
   test("each metric is one shuffle-free pass: 1 job for edgeCutQuality, 2 for vertexCutQuality") {
-    val (g, cg) = TestGraphs.smallWeb(spark)
+    val (shared, cg) = TestGraphs.smallWeb(spark)
+    // a copy has no blocks yet, so the first vertex pass must build them
+    val g = shared.copy()
     val k = 4
     val edf = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, k, 3).part)
     val vdf = PartitionBridge.vertexDf(
       spark, RandomVertex.partition(cg, k, new Array[Boolean](cg.numVertices), 3).part)
     val (edgeJobs, edgeRecords) = sparkWork(PartitionMetrics.edgeCutQuality(g, edf, k))
     val (vertexJobs, vertexRecords) = sparkWork(PartitionMetrics.vertexCutQuality(g, spark, vdf, k))
+    assert(spark.sparkContext.getPersistentRDDs.contains(g.blocks.id), "the first vertex pass cached no blocks")
+    val (againJobs, againRecords) = sparkWork(PartitionMetrics.vertexCutQuality(g, spark, vdf, k))
     assert(edgeJobs.size === 1, s"edgeCutQuality tasks per job: $edgeJobs")
-    // the partition book's collect, then the pass
+    // the partition book's collect, then the pass, which fills the block cache the first time
     assert(vertexJobs.size === 2, s"vertexCutQuality tasks per job: $vertexJobs")
-    assert((edgeJobs ++ vertexJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs")
-    assert(edgeRecords === 0L && vertexRecords === 0L, s"shuffle records: $edgeRecords, $vertexRecords")
+    assert(againJobs.size === 2, s"vertexCutQuality tasks per job, second call: $againJobs")
+    assert((edgeJobs ++ vertexJobs ++ againJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs, $againJobs")
+    assert(edgeRecords === 0L && vertexRecords === 0L && againRecords === 0L,
+      s"shuffle records: $edgeRecords, $vertexRecords, $againRecords")
   }
 
   /** The loads of an edge assignment recomputed on the driver from sets,
@@ -248,6 +254,11 @@ class PartitionMetricsSpec extends SparkSpec {
 
   test("vertexCutQuality throws when a vid appears twice in vertexDf") {
     malformedBook(df => df.union(df.filter(col("vid") === 5)))
+  }
+
+  test("vertexCutQuality throws on a part column that is not an int") {
+    // Catalyst rows are read unchecked, so the column types are checked first
+    malformedBook(_.select(col("vid"), col("part").cast("long") as "part"))
   }
 
   test("vertexCutQuality throws on a vid outside [0, |V|)") {
