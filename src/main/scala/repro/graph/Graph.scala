@@ -4,7 +4,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.{BooleanType, DataType, LongType}
+import org.apache.spark.sql.types.{DataType, LongType}
 import scala.collection.mutable.ArrayBuilder
 
 /** A graph held as a Spark DataFrame of edges plus metadata.
@@ -26,16 +26,15 @@ final case class Graph(
   /** Number of edges (cached on first call by the caller if needed). */
   lazy val numEdges: Long = edges.count()
 
-  /** The graph in primitive blocks, for the metrics that scan the whole
-    * graph: one block of edges per partition of `edges`, then one block of
-    * vertices per partition of `range(numVertices)`, each vid range with its
-    * [[GraphOps.isTrain]] vids. Cached `MEMORY_ONLY` but built by the first
-    * job that reads it, so no job runs here; a `copy` gets its own blocks.
-    * Throws if `numVertices` does not fit in an `Int`.
+  /** The edges in primitive blocks, for the metrics that scan the whole
+    * graph: one [[GraphBlock]] per partition of `edges`. Cached
+    * `MEMORY_ONLY` but built by the first job that reads it, so no job runs
+    * here; a `copy` gets its own blocks. Throws if `numVertices` does not
+    * fit in an `Int`.
     */
   lazy val blocks: RDD[GraphBlock] = {
     val n = Math.toIntExact(numVertices)
-    val edgeBlocks = Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
+    Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
       .mapPartitions { rows =>
         val src = ArrayBuilder.make[Int]
         val dst = ArrayBuilder.make[Int]
@@ -44,25 +43,10 @@ final case class Graph(
           src += (if (s >= 0 && s < n) s.toInt else GraphBlock.NoVertex)
           dst += (if (d >= 0 && d < n) d.toInt else GraphBlock.NoVertex)
         }
-        Iterator(GraphBlock(0, 0, Array.emptyIntArray, src.result(), dst.result()))
+        Iterator(GraphBlock(src.result(), dst.result()))
       }
-    val ids = edges.sparkSession.range(n).select(col("id") as "vid", GraphOps.isTrain(col("id")) as "train")
-    val vertexBlocks = Graph.internalRows(ids, name, "vid" -> LongType, "train" -> BooleanType)
-      .mapPartitions { rows =>
-        // a range partition holds consecutive vids
-        var from = -1
-        var until = -1
-        val train = ArrayBuilder.make[Int]
-        rows.foreach { r =>
-          val v = r.getLong(0).toInt
-          if (from < 0) from = v
-          until = v + 1
-          if (r.getBoolean(1)) train += v
-        }
-        if (from < 0) Iterator.empty
-        else Iterator(GraphBlock(from, until, train.result(), Array.emptyIntArray, Array.emptyIntArray))
-      }
-    edgeBlocks.union(vertexBlocks).setName(s"$name blocks").cache()
+      .setName(s"$name blocks")
+      .cache()
   }
 
   /** Collect to a driver-side CSR for the sequential partitioners. Throws
@@ -112,13 +96,11 @@ object Graph {
   }
 }
 
-/** One block of [[Graph.blocks]], in primitive arrays. An edge block holds
-  * the edges `(src(i), dst(i))` of one partition of `Graph.edges`, with an
-  * endpoint outside `[0, |V|)` stored as [[GraphBlock.NoVertex]], and an
-  * empty vid range. A vertex block holds the vid range `[from, until)` and
-  * the training vids in it, and no edges.
+/** One block of [[Graph.blocks]]: the edges `(src(i), dst(i))` of one
+  * partition of `Graph.edges`, in primitive arrays, with an endpoint
+  * outside `[0, |V|)` stored as [[GraphBlock.NoVertex]].
   */
-final case class GraphBlock(from: Int, until: Int, train: Array[Int], src: Array[Int], dst: Array[Int])
+final case class GraphBlock(src: Array[Int], dst: Array[Int])
 
 object GraphBlock {
 

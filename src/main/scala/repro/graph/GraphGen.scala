@@ -55,7 +55,8 @@ object GraphGen {
     *
     * @param numV     number of vertices (ids dense in [0, numV))
     * @param numE     target edge count, reached via at most 8 seeded rounds;
-    *                 throws if the rounds end short of it
+    *                 throws up front if it exceeds the vertex pairs, and
+    *                 if the rounds end short of it
     * @param alpha    zipf exponent for endpoint draw (≈0.7 mild … ≈1.2 heavy)
     * @param locality fraction of edges drawn from the local neighborhood
     */
@@ -69,6 +70,8 @@ object GraphGen {
       seed: Long,
       locality: Double = 0.6,
   ): Graph = {
+    val pairs = if (directed) numV * (numV - 1) else numV * (numV - 1) / 2
+    require(numE <= pairs, s"powerLaw $name: numE = $numE exceeds the $pairs vertex pairs of $numV vertices")
     // Skewed draws collapse heavily under dedup (hub-hub pairs repeat), so
     // generate in deterministic seeded chunks until the distinct-edge
     // count reaches the target, then trim. Chunks use disjoint seeds, so

@@ -3,7 +3,7 @@ package repro.metrics
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types.{IntegerType, LongType}
-import repro.graph.{Graph, GraphBlock}
+import repro.graph.{Graph, GraphBlock, GraphOps}
 import scala.collection.mutable.ArrayBuilder
 
 /** Per-partition load for a vertex-cut (edge partitioning):
@@ -104,17 +104,17 @@ object PartitionMetrics {
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut): four sums per part,
-    * of vertices, training vertices, local edges and cut edges, one pass
-    * over the graph's primitive [[Graph.blocks]]. A vertex block counts
-    * each vid at its part and each training vid again; an edge block counts
-    * each edge at its source's part, as local or cut.
+  /** Metrics of a vertex partitioning (edge-cut). The driver counts each
+    * part's vertices and training vertices ([[GraphOps.isTrain]]) while it
+    * reads the partition book; one pass over the graph's primitive
+    * [[Graph.blocks]] then sums two counts per part, of local and of cut
+    * edges, each edge counted at its source's part.
     *
-    * Every part comes from a partition book, `vertexDf` read once into a
-    * `vid`-indexed array and broadcast, as DistDGL replicates its book on
-    * every machine; the book is destroyed after the pass. Throws unless
-    * `vertexDf` gives every vertex in `[0, |V|)` exactly one row with a
-    * part in `[0, k)`, and on an edge endpoint outside `[0, |V|)`.
+    * The book is `vertexDf` read once into a `vid`-indexed array and
+    * broadcast, as DistDGL replicates its book on every machine; it is
+    * destroyed after the pass. Throws unless `vertexDf` gives every vertex
+    * in `[0, |V|)` exactly one row with a part in `[0, k)`, and on an edge
+    * endpoint outside `[0, |V|)`.
     */
   def vertexCutQuality(
       g: Graph,
@@ -123,26 +123,23 @@ object PartitionMetrics {
       k: Int,
   ): VertexCutQuality = {
     val n = g.numVertices
-    val book = spark.sparkContext.broadcast(partitionBook(vertexDf, n, k))
+    val (parts, verts, trainVerts) = partitionBook(vertexDf, n, k)
+    val book = spark.sparkContext.broadcast(parts)
     val f =
-      try fold("g.edges", g.blocks, 4 * k, 0) { (f, b) =>
+      try fold("g.edges", g.blocks, 2 * k, 0) { (f, b) =>
         val part = book.value
         val sums = f.sums
-        var i = b.from
-        while (i < b.until) { sums(4 * part(i)) += 1; i += 1 }
-        i = 0
-        while (i < b.train.length) { sums(4 * part(b.train(i)) + 1) += 1; i += 1 }
-        i = 0
+        var i = 0
         while (i < b.src.length) {
           val s = b.src(i); val d = b.dst(i)
           if (s == GraphBlock.NoVertex || d == GraphBlock.NoVertex) f.reject(s"an edge endpoint lies outside [0, $n)")
-          else if (part(s) == part(d)) sums(4 * part(s) + 2) += 1
-          else sums(4 * part(s) + 3) += 1
+          else if (part(s) == part(d)) sums(2 * part(s)) += 1
+          else sums(2 * part(s) + 1) += 1
           i += 1
         }
       } finally book.destroy()
-    val loads = (0 until k).map(p => VertexPartLoad(p, f.sums(4 * p), f.sums(4 * p + 1), f.sums(4 * p + 2)))
-    val cut = (0 until k).map(p => f.sums(4 * p + 3)).sum
+    val loads = (0 until k).map(p => VertexPartLoad(p, verts(p), trainVerts(p), f.sums(2 * p)))
+    val cut = (0 until k).map(p => f.sums(2 * p + 1)).sum
     val numE = loads.map(_.localEdges).sum + cut
     VertexCutQuality(
       k = k,
@@ -156,13 +153,16 @@ object PartitionMetrics {
   }
 
   /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows,
-    * which each task hands over as one pair of primitive arrays. Throws
+    * which each task hands over as one pair of primitive arrays, with the
+    * count of vertices and of training vertices in each part. Throws
     * unless every vid in `[0, n)` has exactly one row and every part lies
     * in `[0, k)`.
     */
-  private def partitionBook(vertexDf: DataFrame, n: Long, k: Int): Array[Int] = {
+  private def partitionBook(vertexDf: DataFrame, n: Long, k: Int): (Array[Int], Array[Long], Array[Long]) = {
     val book = new Array[Int](Math.toIntExact(n))
     val seen = new Array[Boolean](book.length)
+    val verts = new Array[Long](k)
+    val trainVerts = new Array[Long](k)
     val slices = Graph.internalRows(vertexDf, "vertexDf", "vid" -> LongType, "part" -> IntegerType)
       .mapPartitions { rows =>
         val vids = ArrayBuilder.make[Long]
@@ -181,12 +181,14 @@ object PartitionMetrics {
         require(p >= 0 && p < k, s"vertexDf: vid $v has part $p, outside [0, $k)")
         seen(v.toInt) = true
         book(v.toInt) = p
+        verts(p) += 1
+        if (GraphOps.isTrain(v)) trainVerts(p) += 1
         i += 1
       }
     }
     val missing = seen.indexOf(false)
     require(missing < 0, s"vertexDf: vid $missing has no row")
-    book
+    (book, verts, trainVerts)
   }
 
   /** One pass over `items`: each map task folds its items with `add` into

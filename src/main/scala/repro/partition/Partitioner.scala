@@ -66,6 +66,21 @@ object Mix {
     (((v * 1000003L + seed * 7919L) % k + k) % k).toInt
 }
 
+/** Deterministic seeded stream orders for the streaming partitioners. */
+object StreamOrder {
+  def edgeOrder(n: Int, seed: Long): Array[Int] = {
+    val order = Array.tabulate(n)(identity)
+    val rnd = new scala.util.Random(seed)
+    var i = n - 1
+    while (i > 0) {
+      val j = rnd.nextInt(i + 1)
+      val t = order(i); order(i) = order(j); order(j) = t
+      i -= 1
+    }
+    order
+  }
+}
+
 /** Driver assignment → DataFrame bridge: the partition-quality metrics
   * consume assignments as DataFrames. The training simulators do not; they
   * read the metrics' `EdgeCutQuality` and the sampler's `WorkerSample`.

@@ -66,18 +66,3 @@ object Hdrf extends EdgePartitioner {
     )
   }
 }
-
-/** Deterministic seeded stream orders for the streaming partitioners. */
-object StreamOrder {
-  def edgeOrder(n: Int, seed: Long): Array[Int] = {
-    val order = Array.tabulate(n)(identity)
-    val rnd = new scala.util.Random(seed)
-    var i = n - 1
-    while (i > 0) {
-      val j = rnd.nextInt(i + 1)
-      val t = order(i); order(i) = order(j); order(j) = t
-      i -= 1
-    }
-    order
-  }
-}

@@ -2,7 +2,6 @@ package repro.partition.vertex
 
 import repro.graph.CompactGraph
 import repro.partition._
-import repro.partition.edge.StreamOrder
 
 /** ByteGNN-style partitioning (Zheng et al., VLDB 2022). GNN-workload-aware
   * edge-cut: grow small BFS blocks around *training* vertices (the roots of

@@ -2,7 +2,6 @@ package repro.partition.vertex
 
 import repro.graph.CompactGraph
 import repro.partition._
-import repro.partition.edge.StreamOrder
 
 /** LDG — Linear Deterministic Greedy (Stanton & Kliot, KDD 2012).
   * Stateful streaming edge-cut: vertices arrive in a random order; each is

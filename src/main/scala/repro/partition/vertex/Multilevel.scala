@@ -2,7 +2,6 @@ package repro.partition.vertex
 
 import repro.graph.CompactGraph
 import repro.partition._
-import repro.partition.edge.StreamOrder
 
 /** Multilevel edge-cut partitioning: coarsen by heavy-edge matching,
   * partition the coarsest graph greedily, then uncoarsen with FM-style

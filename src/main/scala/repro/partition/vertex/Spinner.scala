@@ -2,7 +2,6 @@ package repro.partition.vertex
 
 import repro.graph.CompactGraph
 import repro.partition._
-import repro.partition.edge.StreamOrder
 
 /** Spinner (Martella et al., ICDE 2017): balanced label propagation.
   * Vertices start on random partitions; for a fixed number of sweeps each

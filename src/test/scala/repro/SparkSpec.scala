@@ -1,8 +1,12 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import scala.collection.concurrent.TrieMap
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -13,10 +17,45 @@ import org.scalatest.funsuite.AnyFunSuite
   * they would on graphs too large to broadcast. The setting does not touch
   * the metrics, which have no join and no exchange: each is one pass of map
   * tasks merged on the driver, and `vertexCutQuality` broadcasts its
-  * partition book itself and scans the graph's cached `Graph.blocks`.
+  * partition book itself and scans the graph's cached edge blocks
+  * (`Graph.blocks`). `sparkWork` counts the Spark jobs and tasks a call
+  * starts, for the tests that pin them.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Runs `body` under a listener that sees only the jobs this thread
+    * starts, and returns the task count of each of those jobs, in job
+    * order, with the shuffle records their tasks wrote.
+    */
+  protected def sparkWork(body: => Unit): (Seq[Int], Long) = {
+    val sc = spark.sparkContext
+    val tag = "spark-spec-work"
+    val jobOfStage = TrieMap.empty[Int, Int]
+    val tasks = TrieMap.empty[Int, Int]
+    val records = new AtomicLong
+    val counter = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty(tag) != null)) {
+          tasks.put(e.jobId, 0)
+          e.stageIds.foreach(jobOfStage.put(_, e.jobId))
+        }
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        jobOfStage.get(e.stageId).foreach { job =>
+          tasks.put(job, tasks(job) + 1)
+          records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
+        }
+    }
+    sc.addSparkListener(counter)
+    sc.setLocalProperty(tag, "1")
+    try body
+    finally {
+      sc.setLocalProperty(tag, null)
+      ListenerBusDrain(sc)
+      sc.removeSparkListener(counter)
+    }
+    (tasks.toSeq.sortBy(_._1).map(_._2), records.get)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -3,7 +3,7 @@ package repro.distdgl
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
-import repro.graph.{Graph, GraphOps}
+import repro.graph.Graph
 
 /** Reference for [[FastSampler]]: the same DistDGL-style sampling written
   * as Spark DataFrame joins, with each per-vertex fanout draw a window rank
@@ -22,6 +22,12 @@ object SparkSampler {
     if (g.directed) in
     else in.union(g.edges.select(col("src") as "v", col("dst") as "nbr"))
   }
+
+  /** [[repro.graph.GraphOps.isTrain]] as a column: the Spark SQL form of
+    * the training split, the reference the driver function is tested
+    * against.
+    */
+  def isTrain(vid: Column): Column = pmod(hash(vid, lit(42)), lit(10)) === 0
 
   /** [[SampleOrder.key]] as a column. */
   private def orderKey(v: Column, seed: Long): Column =
@@ -46,7 +52,7 @@ object SparkSampler {
 
     // batch roots: per worker, a seeded draw of local training vertices
     val roots = vertexDf
-      .filter(GraphOps.isTrain(col("vid")))
+      .filter(isTrain(col("vid")))
       .select(col("part") as "worker", col("vid") as "v")
       .withColumn("rn", row_number().over(
         Window.partitionBy("worker").orderBy(orderKey(col("v"), seed), col("v"))))

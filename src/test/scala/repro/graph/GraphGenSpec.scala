@@ -38,6 +38,12 @@ class GraphGenSpec extends SparkSpec {
     assert(g.numEdges > 2000 && g.numEdges <= 3000)
   }
 
+  test("powerLaw: refuses more edges than vertex pairs, naming the graph") {
+    // HW at scale 0.1: 200 vertices, 19,900 pairs, 22,900 edges asked for
+    val e = intercept[IllegalArgumentException](Datasets.load(spark, "HW", scale = 0.1))
+    assert(e.getMessage.contains("HW") && e.getMessage.contains("22900") && e.getMessage.contains("19900"), e.getMessage)
+  }
+
   test("powerLaw: deterministic in the seed") {
     val a = GraphGen.powerLaw(spark, "A", 200, 800, 0.9, directed = false, seed = 5)
     val b = GraphGen.powerLaw(spark, "B", 200, 800, 0.9, directed = false, seed = 5)

@@ -40,6 +40,19 @@ class GraphOpsSpec extends SparkSpec {
     assert(GraphOps.trainMask(g, spark) sameElements GraphOps.trainMask(g, spark))
   }
 
+  test("the driver isTrain selects the ids the Spark split column selects") {
+    val want = spark.range(0, 1000000).filter(SparkSampler.isTrain(col("id"))).collect().map(_.longValue)
+    val got = (0L until 1000000L).filter(GraphOps.isTrain)
+    assert(want.length === 99896)
+    assert(got === want.toSeq.sorted)
+  }
+
+  test("trainMask starts no Spark job") {
+    val (g, _) = TestGraphs.smallPowerLaw(spark)
+    val (jobs, _) = sparkWork(GraphOps.trainMask(g, spark))
+    assert(jobs.isEmpty, s"tasks per job: $jobs")
+  }
+
   test("compact fails loudly when numVertices does not fit in an Int") {
     val noEdges = spark.range(0).select(col("id") as "src", col("id") as "dst")
     val g = Graph("huge", directed = true, Int.MaxValue + 1L, noEdges)

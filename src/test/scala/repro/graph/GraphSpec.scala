@@ -13,24 +13,6 @@ class GraphSpec extends SparkSpec {
       val want = g.edges.select("src", "dst").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).sorted
       assert(edgePairs(g.blocks.collect()) === want.toSeq)
     }
-
-    test(s"block vid ranges tile [0, |V|) ($name)") {
-      val blocks = g.blocks.collect()
-      val ranges = blocks.filter(_.until > 0).map(b => (b.from, b.until)).sortBy(_._1)
-      assert(ranges.nonEmpty)
-      assert(ranges.head._1 === 0)
-      assert(ranges.last._2 === g.numVertices)
-      assert(ranges.sliding(2).forall(p => p.length < 2 || p(0)._2 == p(1)._1), ranges.mkString(", "))
-      // a block holds edges or vertices, never both
-      assert(blocks.forall(b => b.until == 0 || b.src.isEmpty))
-    }
-
-    test(s"block training vids equal trainMask ($name)") {
-      val blocks = g.blocks.collect()
-      assert(blocks.forall(b => b.train.forall(v => v >= b.from && v < b.until)))
-      val want = GraphOps.trainMask(g, spark).zipWithIndex.collect { case (true, v) => v }
-      assert(blocks.flatMap(_.train).sorted.toSeq === want.toSeq)
-    }
   }
 
   test("a block edge endpoint equal to |V| reads -1") {

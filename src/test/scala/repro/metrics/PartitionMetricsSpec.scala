@@ -1,8 +1,5 @@
 package repro.metrics
 
-import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
@@ -10,7 +7,6 @@ import repro.graph.GraphOps
 import repro.partition._
 import repro.partition.edge.RandomEdge
 import repro.partition.vertex.RandomVertex
-import scala.collection.concurrent.TrieMap
 
 class PartitionMetricsSpec extends SparkSpec {
 
@@ -148,39 +144,6 @@ class PartitionMetricsSpec extends SparkSpec {
     assert(q.perPart.map(_.trainVerts).sum > 0)
   }
 
-  /** Runs `body` under a listener that sees only the jobs this thread
-    * starts, and returns the task count of each of those jobs, in job
-    * order, with the shuffle records their tasks wrote.
-    */
-  private def sparkWork(body: => Unit): (Seq[Int], Long) = {
-    val sc = spark.sparkContext
-    val tag = "partition-metrics-work"
-    val jobOfStage = TrieMap.empty[Int, Int]
-    val tasks = TrieMap.empty[Int, Int]
-    val records = new AtomicLong
-    val counter = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty(tag) != null)) {
-          tasks.put(e.jobId, 0)
-          e.stageIds.foreach(jobOfStage.put(_, e.jobId))
-        }
-      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        jobOfStage.get(e.stageId).foreach { job =>
-          tasks.put(job, tasks(job) + 1)
-          records.addAndGet(e.taskMetrics.shuffleWriteMetrics.recordsWritten)
-        }
-    }
-    sc.addSparkListener(counter)
-    sc.setLocalProperty(tag, "1")
-    try body
-    finally {
-      sc.setLocalProperty(tag, null)
-      ListenerBusDrain(sc)
-      sc.removeSparkListener(counter)
-    }
-    (tasks.toSeq.sortBy(_._1).map(_._2), records.get)
-  }
-
   test("each metric is one shuffle-free pass: 1 job for edgeCutQuality, 2 for vertexCutQuality") {
     val (shared, cg) = TestGraphs.smallWeb(spark)
     // a copy has no blocks yet, so the first vertex pass must build them
@@ -197,6 +160,10 @@ class PartitionMetricsSpec extends SparkSpec {
     // the partition book's collect, then the pass, which fills the block cache the first time
     assert(vertexJobs.size === 2, s"vertexCutQuality tasks per job: $vertexJobs")
     assert(againJobs.size === 2, s"vertexCutQuality tasks per job, second call: $againJobs")
+    // the pass reads edge blocks only: one task per partition of g.edges
+    val edgeParts = g.edges.queryExecution.toRdd.getNumPartitions
+    assert(vertexJobs(1) === edgeParts && againJobs(1) === edgeParts,
+      s"vertex pass tasks: ${vertexJobs(1)}, ${againJobs(1)}; partitions of g.edges: $edgeParts")
     assert((edgeJobs ++ vertexJobs ++ againJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs, $againJobs")
     assert(edgeRecords === 0L && vertexRecords === 0L && againRecords === 0L,
       s"shuffle records: $edgeRecords, $vertexRecords, $againRecords")

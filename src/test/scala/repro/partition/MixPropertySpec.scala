@@ -59,14 +59,14 @@ class MixPropertySpec extends AnyFunSuite {
   }
 
   test("StreamOrder is a permutation") {
-    val o = repro.partition.edge.StreamOrder.edgeOrder(1000, 7)
+    val o = StreamOrder.edgeOrder(1000, 7)
     assert(o.sorted.sameElements(Array.tabulate(1000)(identity)))
   }
 
   test("StreamOrder deterministic in seed, different across seeds") {
-    val a = repro.partition.edge.StreamOrder.edgeOrder(500, 7)
-    val b = repro.partition.edge.StreamOrder.edgeOrder(500, 7)
-    val c = repro.partition.edge.StreamOrder.edgeOrder(500, 8)
+    val a = StreamOrder.edgeOrder(500, 7)
+    val b = StreamOrder.edgeOrder(500, 7)
+    val c = StreamOrder.edgeOrder(500, 8)
     assert(a.sameElements(b))
     assert(!a.sameElements(c))
   }
