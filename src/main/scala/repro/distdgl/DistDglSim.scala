@@ -1,6 +1,7 @@
 package repro.distdgl
 
 import repro.gnn.{CostModel, GnnParams}
+import repro.metrics.PartitionMetrics
 
 /** Straggler (slowest-worker) time per training phase, summed per step —
   * the paper's per-phase attribution in §5.3.
@@ -69,7 +70,7 @@ object DistDglSim {
       (sampling, fetch, forward, backward, netBytes)
     }
 
-    val allReduce = CostModel.allReduceTime(p.modelParams, k)
+    val allReduce = CostModel.allReduceTime(p.modelParams)
     val modelUpdate = p.modelParams * 10.0 / CostModel.flopsRate
 
     // straggler per phase group: workers proceed in lock-step; the slowest
@@ -82,11 +83,6 @@ object DistDglSim {
     val stepTime = fwdChain + backwardStraggler + modelUpdate
 
     val steps = math.max(1, math.ceil(totalTrainVerts.toDouble / gbs).toInt)
-    val inputs = samples.map(_.inputVerts)
-    val inputBalance =
-      if (inputs.sum == 0) 1.0
-      else inputs.max.toDouble / (inputs.sum.toDouble / inputs.size)
-
     DistDglEpoch(
       epochTime = steps * stepTime,
       phases = PhaseTimes(
@@ -98,7 +94,7 @@ object DistDglSim {
       ),
       totalNetworkBytes = steps * (perWorker.map(_._5).sum + 2.0 * p.modelParams * CostModel.bytesPerFloat * k),
       remoteInputVerts = samples.map(_.remoteInputVerts).sum,
-      inputVertexBalance = inputBalance,
+      inputVertexBalance = PartitionMetrics.balance(samples.map(_.inputVerts)),
     )
   }
 }

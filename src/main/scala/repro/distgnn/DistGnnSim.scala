@@ -61,7 +61,7 @@ object DistGnnSim {
         memoryBytes = mem,
       )
     }
-    val modelSync = CostModel.allReduceTime(p.modelParams, q.k)
+    val modelSync = CostModel.allReduceTime(p.modelParams)
     val straggler = machines.map(m => m.computeTime + m.commTime).max
     val mems = machines.map(_.memoryBytes)
     DistGnnEpoch(

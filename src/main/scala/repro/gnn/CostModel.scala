@@ -77,6 +77,6 @@ object CostModel {
   /** Ring all-reduce time for `params` floats: each machine sends and
     * receives ~2·params·4 bytes regardless of k (bandwidth-optimal ring).
     */
-  def allReduceTime(params: Long, k: Int): Double =
+  def allReduceTime(params: Long): Double =
     2.0 * params * bytesPerFloat / netBandwidth
 }

@@ -1,7 +1,8 @@
 package repro.graph
 
+import java.util.Arrays.copyOfRange
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DataType, LongType}
@@ -27,32 +28,28 @@ final case class Graph(
   lazy val numEdges: Long = edges.count()
 
   /** The edges in primitive blocks, for the metrics that scan the whole
-    * graph: one [[GraphBlock]] per partition of `edges`. Cached
-    * `MEMORY_ONLY` but built by the first job that reads it, so no job runs
-    * here; a `copy` gets its own blocks. Throws if `numVertices` does not
-    * fit in an `Int`.
+    * graph: the [[compact]] CSR's `src`/`dst` cut into the contiguous
+    * slices of [[Graph.slices]], one [[GraphBlock]] per partition, so the
+    * concatenated blocks are the CSR's edges in order. Not cached: the
+    * slices are the data, shipped with the tasks that read them. Compacts
+    * the graph on first use, so it throws where [[compact]] does; a `copy`
+    * gets its own blocks.
     */
   lazy val blocks: RDD[GraphBlock] = {
-    val n = Math.toIntExact(numVertices)
-    Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
-      .mapPartitions { rows =>
-        val src = ArrayBuilder.make[Int]
-        val dst = ArrayBuilder.make[Int]
-        rows.foreach { r =>
-          val s = r.getLong(0); val d = r.getLong(1)
-          src += (if (s >= 0 && s < n) s.toInt else GraphBlock.NoVertex)
-          dst += (if (d >= 0 && d < n) d.toInt else GraphBlock.NoVertex)
-        }
-        Iterator(GraphBlock(src.result(), dst.result()))
-      }
-      .setName(s"$name blocks")
-      .cache()
+    val spark = edges.sparkSession
+    val slices = Graph.slices(spark, csr.numEdges).map { case (from, until) =>
+      GraphBlock(copyOfRange(csr.src, from, until), copyOfRange(csr.dst, from, until))
+    }
+    spark.sparkContext.parallelize(slices, slices.length).setName(s"$name blocks")
   }
 
-  /** Collect to a driver-side CSR for the sequential partitioners. Throws
-    * if an endpoint lies outside `[0, numVertices)`.
+  /** The driver-side CSR for the sequential partitioners, read from
+    * `edges` on the first call and shared by later calls and by [[blocks]].
+    * Throws if an endpoint lies outside `[0, numVertices)`.
     */
-  def compact(): CompactGraph = {
+  def compact(): CompactGraph = csr
+
+  private lazy val csr: CompactGraph = {
     val n = Math.toIntExact(numVertices)
     val parts = Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
       .mapPartitions { rows =>
@@ -94,19 +91,20 @@ object Graph {
     require(got == cols, s"$what: columns ${got.mkString(", ")}, expected ${cols.mkString(", ")}")
     sel.queryExecution.toRdd
   }
+
+  /** `[from, until)` of each of `defaultParallelism` contiguous slices of
+    * `n` rows: how a driver array is cut into Spark partitions.
+    */
+  private[repro] def slices(spark: SparkSession, n: Int): Seq[(Int, Int)] = {
+    val count = spark.sparkContext.defaultParallelism
+    (0 until count).map(i => ((i.toLong * n / count).toInt, ((i + 1L) * n / count).toInt))
+  }
 }
 
 /** One block of [[Graph.blocks]]: the edges `(src(i), dst(i))` of one
-  * partition of `Graph.edges`, in primitive arrays, with an endpoint
-  * outside `[0, |V|)` stored as [[GraphBlock.NoVertex]].
+  * slice of the driver CSR, in primitive arrays.
   */
 final case class GraphBlock(src: Array[Int], dst: Array[Int])
-
-object GraphBlock {
-
-  /** The vid of an edge endpoint outside `[0, |V|)`. */
-  val NoVertex: Int = -1
-}
 
 /** Driver-side compressed graph for the sequential (streaming / in-memory)
   * partitioning algorithms. Partitioning in the paper is a single-machine

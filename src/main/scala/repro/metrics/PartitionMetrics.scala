@@ -3,8 +3,7 @@ package repro.metrics
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.types.{IntegerType, LongType}
-import repro.graph.{Graph, GraphBlock, GraphOps}
-import scala.collection.mutable.ArrayBuilder
+import repro.graph.{Graph, GraphOps}
 
 /** Per-partition load for a vertex-cut (edge partitioning):
   * @param edges     edges assigned to the partition
@@ -41,15 +40,18 @@ final case class VertexCutQuality(
 
 /** Partition-quality metrics over the assignment DataFrames (`(src, dst,
   * part)` for edge partitionings, `(vid, part)` for vertex partitionings).
-  * Each metric is one pass with no shuffle: every map task folds its items
-  * into a few primitive arrays (a [[Fold]]), `RDD.reduce` merges those on
-  * the driver, and the driver derives the per-part loads. Every metric here
-  * has a DuckDB oracle test.
+  * Each pass has no shuffle: every map task folds its items into a few
+  * primitive arrays (a [[Fold]]), `RDD.reduce` merges those on the driver,
+  * and the driver derives the per-part loads. The edge metric is one pass
+  * over its DataFrame; the vertex metric is one over its DataFrame and one
+  * over the graph's [[Graph.blocks]]. Every metric here has a DuckDB oracle
+  * test.
   *
-  * A task counts an item that names a part outside `[0, k)` or a vertex
+  * A task counts a row that names a part outside `[0, k)` or a vertex
   * outside `[0, |V|)` instead of indexing it. The driver then throws an
-  * `IllegalArgumentException` that names the first such item, rather than a
-  * task failing with a wrapped `SparkException`.
+  * `IllegalArgumentException` that names the first such row, rather than a
+  * task failing with a wrapped `SparkException`. The blocks need no such
+  * check: [[Graph.compact]] has checked their endpoints.
   *
   * DataFrames are read through `queryExecution.toRdd`, as Catalyst rows
   * with no deserializer, so no SQL execution is recorded per call: Spark's
@@ -104,17 +106,17 @@ object PartitionMetrics {
     )
   }
 
-  /** Metrics of a vertex partitioning (edge-cut). The driver counts each
-    * part's vertices and training vertices ([[GraphOps.isTrain]]) while it
-    * reads the partition book; one pass over the graph's primitive
-    * [[Graph.blocks]] then sums two counts per part, of local and of cut
-    * edges, each edge counted at its source's part.
+  /** Metrics of a vertex partitioning (edge-cut). One pass over
+    * `vertexDf` reads the partition book; the driver then counts each
+    * part's vertices and training vertices ([[GraphOps.isTrain]]). One
+    * pass over the graph's primitive [[Graph.blocks]] sums two counts per
+    * part, of local and of cut edges, each edge counted at its source's
+    * part.
     *
-    * The book is `vertexDf` read once into a `vid`-indexed array and
-    * broadcast, as DistDGL replicates its book on every machine; it is
-    * destroyed after the pass. Throws unless `vertexDf` gives every vertex
-    * in `[0, |V|)` exactly one row with a part in `[0, k)`, and on an edge
-    * endpoint outside `[0, |V|)`.
+    * The book, a `vid`-indexed part array, is broadcast, as DistDGL
+    * replicates its book on every machine; it is destroyed after the pass.
+    * Throws unless `vertexDf` gives every vertex in `[0, |V|)` exactly one
+    * row with a part in `[0, k)`, and where [[Graph.compact]] throws.
     */
   def vertexCutQuality(
       g: Graph,
@@ -122,18 +124,16 @@ object PartitionMetrics {
       vertexDf: DataFrame,
       k: Int,
   ): VertexCutQuality = {
-    val n = g.numVertices
-    val (parts, verts, trainVerts) = partitionBook(vertexDf, n, k)
+    val (parts, verts, trainVerts) = partitionBook(vertexDf, Math.toIntExact(g.numVertices), k)
     val book = spark.sparkContext.broadcast(parts)
     val f =
-      try fold("g.edges", g.blocks, 2 * k, 0) { (f, b) =>
+      try fold("g.blocks", g.blocks, 2 * k, 0) { (f, b) =>
         val part = book.value
         val sums = f.sums
         var i = 0
         while (i < b.src.length) {
           val s = b.src(i); val d = b.dst(i)
-          if (s == GraphBlock.NoVertex || d == GraphBlock.NoVertex) f.reject(s"an edge endpoint lies outside [0, $n)")
-          else if (part(s) == part(d)) sums(2 * part(s)) += 1
+          if (part(s) == part(d)) sums(2 * part(s)) += 1
           else sums(2 * part(s) + 1) += 1
           i += 1
         }
@@ -153,41 +153,33 @@ object PartitionMetrics {
   }
 
   /** The part of every vertex, indexed by `vid`, from `(vid, part)` rows,
-    * which each task hands over as one pair of primitive arrays, with the
-    * count of vertices and of training vertices in each part. Throws
-    * unless every vid in `[0, n)` has exactly one row and every part lies
-    * in `[0, k)`.
+    * with the count of vertices and of training vertices in each part. One
+    * [[fold]] keeps two sums per vid, its row count and its part; the
+    * driver then throws on the first vid without exactly one row.
     */
-  private def partitionBook(vertexDf: DataFrame, n: Long, k: Int): (Array[Int], Array[Long], Array[Long]) = {
-    val book = new Array[Int](Math.toIntExact(n))
-    val seen = new Array[Boolean](book.length)
-    val verts = new Array[Long](k)
-    val trainVerts = new Array[Long](k)
-    val slices = Graph.internalRows(vertexDf, "vertexDf", "vid" -> LongType, "part" -> IntegerType)
-      .mapPartitions { rows =>
-        val vids = ArrayBuilder.make[Long]
-        val parts = ArrayBuilder.make[Int]
-        rows.foreach { r => vids += r.getLong(0); parts += r.getInt(1) }
-        Iterator((vids.result(), parts.result()))
-      }
-      .collect()
-    for ((vids, parts) <- slices) {
-      var i = 0
-      while (i < vids.length) {
-        val v = vids(i)
-        val p = parts(i)
-        require(v >= 0 && v < n, s"vertexDf: vid $v lies outside [0, $n)")
-        require(!seen(v.toInt), s"vertexDf: vid $v has more than one row")
-        require(p >= 0 && p < k, s"vertexDf: vid $v has part $p, outside [0, $k)")
-        seen(v.toInt) = true
-        book(v.toInt) = p
-        verts(p) += 1
-        if (GraphOps.isTrain(v)) trainVerts(p) += 1
-        i += 1
+  private def partitionBook(vertexDf: DataFrame, n: Int, k: Int): (Array[Int], Array[Long], Array[Long]) = {
+    val rows = Graph.internalRows(vertexDf, "vertexDf", "vid" -> LongType, "part" -> IntegerType)
+    val f = fold("vertexDf", rows, 2 * n, 0) { (f, r) =>
+      val v = r.getLong(0)
+      val p = r.getInt(1)
+      if (v < 0 || v >= n) f.reject(s"vid $v lies outside [0, $n)")
+      else if (p < 0 || p >= k) f.reject(s"vid $v has part $p, outside [0, $k)")
+      else {
+        f.sums(2 * v.toInt) += 1
+        f.sums(2 * v.toInt + 1) += p
       }
     }
-    val missing = seen.indexOf(false)
-    require(missing < 0, s"vertexDf: vid $missing has no row")
+    val book = new Array[Int](n)
+    val verts = new Array[Long](k)
+    val trainVerts = new Array[Long](k)
+    for (v <- book.indices) {
+      require(f.sums(2 * v) > 0, s"vertexDf: vid $v has no row")
+      require(f.sums(2 * v) == 1, s"vertexDf: vid $v has more than one row")
+      val p = f.sums(2 * v + 1).toInt
+      book(v) = p
+      verts(p) += 1
+      if (GraphOps.isTrain(v)) trainVerts(p) += 1
+    }
     (book, verts, trainVerts)
   }
 

@@ -2,7 +2,7 @@ package repro.partition
 
 import java.util.Arrays.copyOfRange
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.CompactGraph
+import repro.graph.{CompactGraph, Graph}
 
 /** Work counters accumulated while a partitioner runs. The amortization
   * tables (paper Tables 4/5) need partitioning *time*; we count the actual
@@ -86,15 +86,16 @@ object StreamOrder {
   * read the metrics' `EdgeCutQuality` and the sampler's `WorkerSample`.
   *
   * The driver never builds a row object. It cuts its primitive arrays into
-  * `defaultParallelism` contiguous slices, ships one slice per partition,
-  * and the executors expand each slice into rows.
+  * the contiguous slices of `Graph.slices`, as `Graph.blocks` cuts the CSR,
+  * ships one slice per partition, and the executors expand each slice into
+  * rows.
   */
 object PartitionBridge {
 
   /** `(src, dst, part)` — one row per edge, driver assignment attached. */
   def edgeDf(spark: SparkSession, g: CompactGraph, assign: Array[Int]): DataFrame = {
     import spark.implicits._
-    val slices = bounds(spark, g.numEdges).map { case (from, until) =>
+    val slices = Graph.slices(spark, g.numEdges).map { case (from, until) =>
       (copyOfRange(g.src, from, until), copyOfRange(g.dst, from, until), copyOfRange(assign, from, until))
     }
     spark.sparkContext.parallelize(slices, slices.length)
@@ -105,17 +106,11 @@ object PartitionBridge {
   /** `(vid, part)` — one row per vertex. */
   def vertexDf(spark: SparkSession, assign: Array[Int]): DataFrame = {
     import spark.implicits._
-    val slices = bounds(spark, assign.length).map { case (from, until) =>
+    val slices = Graph.slices(spark, assign.length).map { case (from, until) =>
       (from, copyOfRange(assign, from, until))
     }
     spark.sparkContext.parallelize(slices, slices.length)
       .flatMap { case (from, p) => Iterator.tabulate(p.length)(i => ((from + i).toLong, p(i))) }
       .toDF("vid", "part")
-  }
-
-  /** `[from, until)` of each of `defaultParallelism` contiguous slices of `n` rows. */
-  private def bounds(spark: SparkSession, n: Int): Seq[(Int, Int)] = {
-    val slices = spark.sparkContext.defaultParallelism
-    (0 until slices).map(i => ((i.toLong * n / slices).toInt, ((i + 1L) * n / slices).toInt))
   }
 }

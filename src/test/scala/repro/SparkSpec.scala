@@ -15,10 +15,10 @@ import scala.collection.concurrent.TrieMap
   * limit). Broadcast joins are disabled so that the test-only
   * `SparkSampler` joins run as shuffles even on the small test graphs, as
   * they would on graphs too large to broadcast. The setting does not touch
-  * the metrics, which have no join and no exchange: each is one pass of map
-  * tasks merged on the driver, and `vertexCutQuality` broadcasts its
-  * partition book itself and scans the graph's cached edge blocks
-  * (`Graph.blocks`). `sparkWork` counts the Spark jobs and tasks a call
+  * the metrics, which have no join and no exchange: each pass is map tasks
+  * merged on the driver, and `vertexCutQuality` broadcasts its partition
+  * book itself and scans the graph's edge blocks (`Graph.blocks`, slices
+  * of the driver CSR). `sparkWork` counts the Spark jobs and tasks a call
   * starts, for the tests that pin them.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {

@@ -68,7 +68,6 @@ class GnnConfigSpec extends AnyFunSuite {
   }
 
   test("all-reduce time grows with params and is k-independent (ring)") {
-    assert(CostModel.allReduceTime(1000000, 4) > CostModel.allReduceTime(1000, 4))
-    assert(CostModel.allReduceTime(1000000, 32) === CostModel.allReduceTime(1000000, 4))
+    assert(CostModel.allReduceTime(1000000) > CostModel.allReduceTime(1000))
   }
 }

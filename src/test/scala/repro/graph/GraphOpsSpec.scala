@@ -35,11 +35,6 @@ class GraphOpsSpec extends SparkSpec {
     assert(frac > 0.05 && frac < 0.15, s"train fraction $frac")
   }
 
-  test("trainMask is deterministic") {
-    val (g, _) = TestGraphs.smallPowerLaw(spark)
-    assert(GraphOps.trainMask(g, spark) sameElements GraphOps.trainMask(g, spark))
-  }
-
   test("the driver isTrain selects the ids the Spark split column selects") {
     val want = spark.range(0, 1000000).filter(SparkSampler.isTrain(col("id"))).collect().map(_.longValue)
     val got = (0L until 1000000L).filter(GraphOps.isTrain)

@@ -3,7 +3,7 @@ package repro.metrics
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
-import repro.graph.GraphOps
+import repro.distdgl.SparkSampler
 import repro.partition._
 import repro.partition.edge.RandomEdge
 import repro.partition.vertex.RandomVertex
@@ -57,7 +57,8 @@ class PartitionMetricsSpec extends SparkSpec {
       val assign = RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part
       val vdf = PartitionBridge.vertexDf(spark, reshape(assign))
       val q = PartitionMetrics.vertexCutQuality(g, spark, vdf, 4)
-      val train = GraphOps.trainMask(g, spark).zipWithIndex.collect { case (true, v) => v.toLong }
+      // the training ids of the Spark reference split, not of the code under test
+      val train = spark.range(g.numVertices).filter(SparkSampler.isTrain(col("id"))).select(col("id") as "vid")
       Oracle.assertEquivalent(
         spark.createDataFrame(q.perPart),
         """WITH vp AS (SELECT vid, CAST(part AS INTEGER) AS part FROM vp_raw)
@@ -70,7 +71,7 @@ class PartitionMetricsSpec extends SparkSpec {
           |FROM (SELECT CAST(range AS INTEGER) AS part FROM range(4)) p""".stripMargin,
         "edges" -> g.edges,
         "vp_raw" -> vdf,
-        "train" -> spark.createDataFrame(train.toSeq.map(Tuple1(_))).toDF("vid"),
+        "train" -> train,
       )
     }
   }
@@ -146,27 +147,23 @@ class PartitionMetricsSpec extends SparkSpec {
 
   test("each metric is one shuffle-free pass: 1 job for edgeCutQuality, 2 for vertexCutQuality") {
     val (shared, cg) = TestGraphs.smallWeb(spark)
-    // a copy has no blocks yet, so the first vertex pass must build them
+    // a copy, compacted first, so that the collect of g.edges is not counted
     val g = shared.copy()
+    g.compact()
     val k = 4
     val edf = PartitionBridge.edgeDf(spark, cg, RandomEdge.partition(cg, k, 3).part)
     val vdf = PartitionBridge.vertexDf(
       spark, RandomVertex.partition(cg, k, new Array[Boolean](cg.numVertices), 3).part)
     val (edgeJobs, edgeRecords) = sparkWork(PartitionMetrics.edgeCutQuality(g, edf, k))
     val (vertexJobs, vertexRecords) = sparkWork(PartitionMetrics.vertexCutQuality(g, spark, vdf, k))
-    assert(spark.sparkContext.getPersistentRDDs.contains(g.blocks.id), "the first vertex pass cached no blocks")
-    val (againJobs, againRecords) = sparkWork(PartitionMetrics.vertexCutQuality(g, spark, vdf, k))
     assert(edgeJobs.size === 1, s"edgeCutQuality tasks per job: $edgeJobs")
-    // the partition book's collect, then the pass, which fills the block cache the first time
+    // the partition book's fold, then the pass over the blocks
     assert(vertexJobs.size === 2, s"vertexCutQuality tasks per job: $vertexJobs")
-    assert(againJobs.size === 2, s"vertexCutQuality tasks per job, second call: $againJobs")
-    // the pass reads edge blocks only: one task per partition of g.edges
-    val edgeParts = g.edges.queryExecution.toRdd.getNumPartitions
-    assert(vertexJobs(1) === edgeParts && againJobs(1) === edgeParts,
-      s"vertex pass tasks: ${vertexJobs(1)}, ${againJobs(1)}; partitions of g.edges: $edgeParts")
-    assert((edgeJobs ++ vertexJobs ++ againJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs, $againJobs")
-    assert(edgeRecords === 0L && vertexRecords === 0L && againRecords === 0L,
-      s"shuffle records: $edgeRecords, $vertexRecords, $againRecords")
+    // the pass reads the blocks only: one task per slice of the CSR
+    val slices = spark.sparkContext.defaultParallelism
+    assert(vertexJobs(1) === slices, s"vertex pass tasks: ${vertexJobs(1)}; slices: $slices")
+    assert((edgeJobs ++ vertexJobs).forall(_ > 0), s"tasks per job: $edgeJobs, $vertexJobs")
+    assert(edgeRecords === 0L && vertexRecords === 0L, s"shuffle records: $edgeRecords, $vertexRecords")
   }
 
   /** The loads of an edge assignment recomputed on the driver from sets,
@@ -206,31 +203,34 @@ class PartitionMetricsSpec extends SparkSpec {
   }
 
   /** Scores a random k=4 book of smallWeb after `edit` has broken it, and
-    * expects the book to be refused.
+    * expects the book to be refused with a message that contains `want`.
     */
-  private def malformedBook(edit: DataFrame => DataFrame): Unit = {
+  private def malformedBook(want: String)(edit: DataFrame => DataFrame): Unit = {
     val (g, cg) = TestGraphs.smallWeb(spark)
     val vdf = PartitionBridge.vertexDf(
       spark, RandomVertex.partition(cg, 4, new Array[Boolean](cg.numVertices), 3).part)
-    intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(g, spark, edit(vdf), 4))
+    val e = intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(g, spark, edit(vdf), 4))
+    assert(e.getMessage.contains(want), e.getMessage)
   }
 
   test("vertexCutQuality throws when a vertex has no row in vertexDf") {
-    malformedBook(_.filter(col("vid") =!= 5))
+    malformedBook("vid 5 has no row")(_.filter(col("vid") =!= 5))
   }
 
   test("vertexCutQuality throws when a vid appears twice in vertexDf") {
-    malformedBook(df => df.union(df.filter(col("vid") === 5)))
+    malformedBook("vid 5 has more than one row")(df => df.union(df.filter(col("vid") === 5)))
   }
 
   test("vertexCutQuality throws on a part column that is not an int") {
     // Catalyst rows are read unchecked, so the column types are checked first
-    malformedBook(_.select(col("vid"), col("part").cast("long") as "part"))
+    malformedBook("vertexDf: columns")(_.select(col("vid"), col("part").cast("long") as "part"))
   }
 
   test("vertexCutQuality throws on a vid outside [0, |V|)") {
     val (g, _) = TestGraphs.smallWeb(spark)
-    malformedBook(df => df.union(spark.range(1).select(lit(g.numVertices) as "vid", lit(0) as "part")))
+    malformedBook(s"vid ${g.numVertices} lies outside") {
+      df => df.union(spark.range(1).select(lit(g.numVertices) as "vid", lit(0) as "part"))
+    }
   }
 
   test("edgeCutQuality throws on a part outside [0, k)") {
@@ -290,6 +290,7 @@ class PartitionMetricsSpec extends SparkSpec {
     val (g, cg) = TestGraphs.smallPowerLaw(spark)
     val bad = g.copy(edges = g.edges.union(spark.range(1).select(lit(g.numVertices) as "src", lit(0L) as "dst")))
     val vdf = PartitionBridge.vertexDf(spark, new Array[Int](cg.numVertices))
-    intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(bad, spark, vdf, 4))
+    val e = intercept[IllegalArgumentException](PartitionMetrics.vertexCutQuality(bad, spark, vdf, 4))
+    assert(e.getMessage.contains(s"edge (${g.numVertices}, 0)"), e.getMessage)
   }
 }
