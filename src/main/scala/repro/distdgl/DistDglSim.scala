@@ -56,10 +56,9 @@ object DistDglSim {
       val fetch =
         s.remoteInputVerts.toDouble * p.featureSize * CostModel.bytesPerFloat / CostModel.netBandwidth +
           s.localInputVerts.toDouble * p.featureSize * CostModel.bytesPerFloat / CostModel.memBandwidth
-      // hop t (1-based) feeds GNN layer L-t+1; outermost hop carries raw
-      // features (dim f), inner hops carry hidden representations
+      // hop t (1-based) feeds GNN layer L-t+1
       val fwdFlops = (1 to l).map { t =>
-        val dIn = if (t == l) p.featureSize else p.hidden
+        val dIn = p.dimIn(l - t + 1)
         val agg = 2.0 * s.edgesPerHop(t - 1) * dIn
         val dense = 2.0 * s.frontierPerHop(t - 1) * dIn * p.hidden
         agg + dense

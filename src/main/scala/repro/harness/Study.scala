@@ -40,7 +40,6 @@ final class Study(spark: SparkSession) {
   def graph(key: String): StudyGraph =
     graphs.getOrElseUpdate(key, {
       val g = Datasets.load(spark, key)
-      g.edges.cache().count()
       StudyGraph(g, g.compact(), GraphOps.trainMask(g, spark))
     })
 

@@ -66,6 +66,25 @@ object Mix {
     (((v * 1000003L + seed * 7919L) % k + k) % k).toInt
 }
 
+/** Per-partition loads, shared by the stateful edge partitioners. */
+object Loads {
+
+  /** The first part with the least load. */
+  def leastLoaded(load: Array[Long]): Int = {
+    var best = 0
+    var p = 1
+    while (p < load.length) { if (load(p) < load(best)) best = p; p += 1 }
+    best
+  }
+
+  /** The most edges a part takes before it spills: 10% over an even share. */
+  def edgeCap(numEdges: Int, k: Int): Long = math.ceil(1.1 * numEdges.toDouble / k).toLong
+
+  /** `p`, or the least-loaded part once `p` holds `cap` edges. */
+  def spill(load: Array[Long], cap: Long, p: Int): Int =
+    if (load(p) < cap) p else leastLoaded(load)
+}
+
 /** Deterministic seeded stream orders for the streaming partitioners. */
 object StreamOrder {
   def edgeOrder(n: Int, seed: Long): Array[Int] = {

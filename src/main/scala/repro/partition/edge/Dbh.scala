@@ -17,11 +17,13 @@ object Dbh extends EdgePartitioner {
     val part = new Array[Int](g.numEdges)
     var i = 0
     while (i < g.numEdges) {
-      val s = g.src(i); val d = g.dst(i)
-      val pick = if (deg(s) <= deg(d)) s else d
-      part(i) = Mix.vertex(pick.toLong, seed, k)
+      part(i) = rule(deg, g.src(i), g.dst(i), seed, k)
       i += 1
     }
     EdgePartitionResult(part, PartitionCost(edgesStreamed = g.numEdges))
   }
+
+  /** The part of edge `(u, v)`: the hash of its lower-degree endpoint. */
+  def rule(deg: Array[Int], u: Int, v: Int, seed: Long, k: Int): Int =
+    Mix.vertex((if (deg(u) <= deg(v)) u else v).toLong, seed, k)
 }

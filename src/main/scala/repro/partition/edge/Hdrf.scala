@@ -55,9 +55,7 @@ object Hdrf extends EdgePartitioner {
       replicas(v) |= 1L << best
       load(best) += 1
       if (load(best) > maxLoad) maxLoad = load(best)
-      var mn = Long.MaxValue; p = 0
-      while (p < k) { if (load(p) < mn) mn = load(p); p += 1 }
-      minLoad = mn
+      minLoad = load(Loads.leastLoaded(load))
       oi += 1
     }
     EdgePartitionResult(

@@ -121,7 +121,7 @@ final class Hep(tau: Double) extends EdgePartitioner {
 
     // --- Streaming phase: high-degree + deferred edges, coverage-aware. --
     val order = StreamOrder.edgeOrder(g.numEdges, seed + 2)
-    val loadCap = math.ceil(1.1 * g.numEdges.toDouble / k).toLong
+    val loadCap = Loads.edgeCap(g.numEdges, k)
     var oi = 0
     while (oi < g.numEdges) {
       val e = order(oi)
@@ -148,16 +148,7 @@ final class Hep(tau: Double) extends EdgePartitioner {
           }
           heavyOps += java.lang.Long.bitCount(both)
         }
-        if (target < 0) {
-          // DBH fallback: hash the lower-degree endpoint
-          val pick = if (deg(u) <= deg(v)) u else v
-          val h = Mix.vertex(pick.toLong, seed, k)
-          target = if (load(h) < loadCap) h else {
-            var best = 0; var q = 1
-            while (q < k) { if (load(q) < load(best)) best = q; q += 1 }
-            best
-          }
-        }
+        if (target < 0) target = Loads.spill(load, loadCap, Dbh.rule(deg, u, v, seed, k))
         part(e) = target
         load(target) += 1
         cover(u) |= 1L << target

@@ -22,17 +22,16 @@ object TwoPsL extends EdgePartitioner {
   def partition(g: CompactGraph, k: Int, seed: Long): EdgePartitionResult = {
     val n = g.numVertices
     val deg = g.degree
-    val totalVolume = 2.0 * g.numEdges
-    val clusterCap = totalVolume / k
+    val clusterCap = 2.0 * g.numEdges / k
     var heavyOps = 0L
 
     // ---- Phase 1: streaming clustering (union by explicit relabel). ----
     val cluster = Array.fill(n)(-1)
-    val volume = new scala.collection.mutable.ArrayBuffer[Double]()
+    val volume = new scala.collection.mutable.ArrayBuffer[Long]()
     val members = new scala.collection.mutable.ArrayBuffer[scala.collection.mutable.ArrayBuffer[Int]]()
 
     def newCluster(): Int = {
-      volume += 0.0
+      volume += 0L
       members += new scala.collection.mutable.ArrayBuffer[Int]()
       volume.length - 1
     }
@@ -58,20 +57,18 @@ object TwoPsL extends EdgePartitioner {
         heavyOps += members(small).length
         members(small).foreach { w => cluster(w) = big; members(big) += w }
         volume(big) += volume(small)
-        volume(small) = 0.0
+        volume(small) = 0L
         members(small).clear()
       }
       oi += 1
     }
-    // isolated vertices (degree 0) get their own cluster lazily in phase 2
 
     // ---- Pack clusters onto k partitions, first-fit decreasing by volume. --
     val liveClusters = volume.indices.filter(c => members(c).nonEmpty)
     val binOf = new Array[Int](volume.length)
-    val binVol = new Array[Double](k)
+    val binVol = new Array[Long](k)
     liveClusters.sortBy(c => -volume(c)).foreach { c =>
-      var best = 0; var p = 1
-      while (p < k) { if (binVol(p) < binVol(best)) best = p; p += 1 }
+      val best = Loads.leastLoaded(binVol)
       binOf(c) = best; binVol(best) += volume(c)
       heavyOps += k
     }
@@ -79,13 +76,12 @@ object TwoPsL extends EdgePartitioner {
     // ---- Phase 2: linear-time edge assignment. ----
     val part = new Array[Int](g.numEdges)
     val load = new Array[Long](k)
-    val loadCap = math.ceil(1.1 * g.numEdges.toDouble / k).toLong
+    val loadCap = Loads.edgeCap(g.numEdges, k)
     var oi2 = 0
     while (oi2 < g.numEdges) {
       val i = order(oi2)
       val u = g.src(i); val v = g.dst(i)
-      val pu = if (cluster(u) >= 0) binOf(cluster(u)) else Mix.vertex(u.toLong, seed, k)
-      val pv = if (cluster(v) >= 0) binOf(cluster(v)) else Mix.vertex(v.toLong, seed, k)
+      val pu = binOf(cluster(u)); val pv = binOf(cluster(v))
       // degree-aware: keep the edge with the *lower-degree* endpoint's
       // cluster (low-degree vertices stay whole, hubs get replicated —
       // the 2PS-L rule, same intuition as DBH)
@@ -95,13 +91,7 @@ object TwoPsL extends EdgePartitioner {
         else if (deg(v) < deg(u)) pv
         else if (load(pu) <= load(pv)) pu
         else pv
-      val target =
-        if (load(candidate) < loadCap) candidate
-        else { // overflow: spill to globally least-loaded partition
-          var best = 0; var p = 1
-          while (p < k) { if (load(p) < load(best)) best = p; p += 1 }
-          best
-        }
+      val target = Loads.spill(load, loadCap, candidate)
       part(i) = target
       load(target) += 1
       oi2 += 1

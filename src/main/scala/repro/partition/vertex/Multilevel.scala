@@ -41,38 +41,25 @@ final class Multilevel(
     // Read-only, so every hierarchy and the LPA candidate share it.
     val base = LGraph(g.numVertices, g.adjOff, g.adjNbr,
       Array.fill(g.adjNbr.length)(1L), Array.fill(g.numVertices)(1L))
-    var totalOps = 0L
-    var bestPart: Array[Int] = null
-    var bestCut = Long.MaxValue
-
-    def consider(part: Array[Int], ops: Long): Unit = {
-      totalOps += ops
-      val cut = cutWeight(base, part)
-      if (cut < bestCut) { bestCut = cut; bestPart = part }
-    }
 
     // several full multilevel hierarchies with different matching orders
-    var outer = 0
-    while (outer < outerRestarts) {
-      val r = onePass(base, k, seed + 7777L * outer)
-      consider(r.part, r.cost.heavyOps)
-      outer += 1
-    }
+    val hierarchies = (0 until outerRestarts).map(outer => onePass(base, k, seed + 7777L * outer))
 
     // KaHIP-style social-network fallback: a balanced label-propagation
     // solution, FM-polished — LPA explores a basin multilevel matching
     // sometimes misses on dense graphs (KaFFPa uses LPA the same way)
-    if (lpaCandidate) {
-      val lpa = Spinner.partition(g, k, trainMask, seed + 31)
-      val part = lpa.part.clone()
-      val ops = refine(base, part, k, refinePasses)
-      consider(part, lpa.cost.heavyOps + ops)
+    val lpa = Option.when(lpaCandidate) {
+      val r = Spinner.partition(g, k, trainMask, seed + 31)
+      (r.part, r.cost.heavyOps + refine(base, r.part, k, refinePasses))
     }
 
-    VertexPartitionResult(bestPart, PartitionCost(heavyOps = totalOps, passes = outerRestarts))
+    val candidates = hierarchies ++ lpa
+    val (best, _) = candidates.minBy { case (part, _) => cutWeight(base, part) }
+    VertexPartitionResult(best, PartitionCost(heavyOps = candidates.map(_._2).sum, passes = outerRestarts))
   }
 
-  private def onePass(base: LGraph, k: Int, seed: Long): VertexPartitionResult = {
+  /** One multilevel hierarchy: its partition and its heavy-op count. */
+  private def onePass(base: LGraph, k: Int, seed: Long): (Array[Int], Long) = {
     var heavyOps = 0L
 
     // ---- Coarsening ----------------------------------------------------
@@ -95,20 +82,14 @@ final class Multilevel(
 
     // ---- Initial partition on the coarsest graph (best of `restarts`). --
     val coarsest = levels.head._1
-    var bestPart: Array[Int] = null
-    var bestCut = Long.MaxValue
-    var r = 0
-    while (r < restarts) {
+    val initial = (0 until restarts).map { r =>
       val p = greedyInitial(coarsest, k, seed + 1000 + r)
-      val (ops1) = refine(coarsest, p, k, refinePasses)
-      heavyOps += ops1 + coarsest.n.toLong * k
-      val cut = cutWeight(coarsest, p)
-      if (cut < bestCut) { bestCut = cut; bestPart = p }
-      r += 1
+      heavyOps += refine(coarsest, p, k, refinePasses) + coarsest.n.toLong * k
+      p
     }
 
     // ---- Uncoarsen + refine at every level. -----------------------------
-    var part = bestPart
+    var part = initial.minBy(cutWeight(coarsest, _))
     var rest = levels
     while (rest.tail.nonEmpty) {
       val (_, cmap) = rest.head
@@ -121,7 +102,7 @@ final class Multilevel(
       rest = rest.tail
     }
 
-    VertexPartitionResult(part, PartitionCost(heavyOps = heavyOps, passes = levels.length))
+    (part, heavyOps)
   }
 
   /** Heavy-edge matching + coarse-graph construction. `maxVw` caps the
