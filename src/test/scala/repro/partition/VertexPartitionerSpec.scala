@@ -1,7 +1,9 @@
 package repro.partition
 
+import java.util.concurrent.{Callable, CountDownLatch, Executors}
 import repro.{SparkSpec, TestGraphs}
-import repro.graph.GraphOps
+import repro.graph.{CompactGraph, GraphOps}
+import repro.partition.vertex.Multilevel
 
 /** Invariants every vertex partitioner (edge-cut) must satisfy, checked for
   * every algorithm × every test-graph family × k ∈ {4, 8, 32}.
@@ -45,6 +47,29 @@ class VertexPartitionerSpec extends SparkSpec {
       val maxLoad = (0 until k).map(loads.getOrElse(_, 0L)).max
       val mean = cg.numVertices.toDouble / k
       assert(maxLoad <= 1.7 * mean + 2, s"${p.name} maxLoad=$maxLoad mean=$mean")
+    }
+  }
+
+  for ((gname, _, cg) <- TestGraphs.all(SparkSpec.shared); p <- Seq(Multilevel.kahip, Multilevel.metis)) {
+    test(s"${p.name} on $gname: four concurrent callers get the output of a sequential call") {
+      // each copy's lazy adjacency is first forced inside `partition`
+      def copy() = new CompactGraph(cg.numVertices, cg.src.clone(), cg.dst.clone(), cg.directed)
+      val m = mask(gname)
+      val expected = p.partition(copy(), 8, m, seed = 3)
+      val shared = copy()
+      val pool = Executors.newFixedThreadPool(4)
+      val results = try {
+        val start = new CountDownLatch(1)
+        val calls = (1 to 4).map(_ => pool.submit(new Callable[VertexPartitionResult] {
+          def call(): VertexPartitionResult = { start.await(); p.partition(shared, 8, m, seed = 3) }
+        }))
+        start.countDown()
+        calls.map(_.get())
+      } finally pool.shutdown()
+      for (r <- results) {
+        assert(r.part.sameElements(expected.part))
+        assert(r.cost === expected.cost)
+      }
     }
   }
 
