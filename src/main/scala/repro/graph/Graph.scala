@@ -8,50 +8,56 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{DataType, LongType}
 import scala.collection.mutable.ArrayBuilder
 
-/** A graph held as a Spark DataFrame of edges plus metadata.
+/** A graph: its name, its directedness and its driver CSR
+  * ([[CompactGraph]]), built once by [[Graph.fromEdges]] from the edge
+  * table a generator returns. Spark keeps no copy of it: the metrics read
+  * [[blocks]], slices of the CSR shipped with the tasks that read them.
   *
-  * `edges` has columns `src: long`, `dst: long`. Vertex ids are dense in
-  * `[0, numVertices)`. For undirected graphs edges are canonicalized with
-  * `src < dst` and stored once; the driver CSR ([[CompactGraph]]) holds
-  * both directions.
+  * Vertex ids are dense in `[0, numVertices)`. For undirected graphs edges
+  * are canonicalized with `src < dst` and stored once; the CSR's adjacency
+  * holds both directions.
   *
   * @param name      short display name (e.g. "OR")
   * @param directed  whether the graph is directed
   */
-final case class Graph(
-    name: String,
-    directed: Boolean,
-    numVertices: Long,
-    edges: DataFrame,
-) {
-  /** Number of edges (cached on first call by the caller if needed). */
-  lazy val numEdges: Long = edges.count()
+final class Graph private (val name: String, val directed: Boolean, csr: CompactGraph, spark: SparkSession) {
+  def numVertices: Long = csr.numVertices
+  def numEdges: Long = csr.numEdges
+
+  /** The driver-side CSR, for the sequential partitioners and the sampler. */
+  def compact(): CompactGraph = csr
 
   /** The edges in primitive blocks, for the metrics that scan the whole
-    * graph: the [[compact]] CSR's `src`/`dst` cut into the contiguous
-    * slices of [[Graph.slices]], one [[GraphBlock]] per partition, so the
+    * graph: the CSR's `src`/`dst` cut into the contiguous slices of
+    * [[Graph.slices]], one [[GraphBlock]] per partition, so the
     * concatenated blocks are the CSR's edges in order. Not cached: the
-    * slices are the data, shipped with the tasks that read them. Compacts
-    * the graph on first use, so it throws where [[compact]] does; a `copy`
-    * gets its own blocks.
+    * slices are the data, shipped with the tasks that read them.
     */
   lazy val blocks: RDD[GraphBlock] = {
-    val spark = edges.sparkSession
     val slices = Graph.slices(spark, csr.numEdges).map { case (from, until) =>
       GraphBlock(copyOfRange(csr.src, from, until), copyOfRange(csr.dst, from, until))
     }
     spark.sparkContext.parallelize(slices, slices.length).setName(s"$name blocks")
   }
 
-  /** The driver-side CSR for the sequential partitioners, read from
-    * `edges` on the first call and shared by later calls and by [[blocks]].
-    * Throws if an endpoint lies outside `[0, numVertices)`.
+  /** The CSR's edges as an uncached `(src: bigint, dst: bigint)` DataFrame
+    * over [[blocks]], row for row in CSR order, for Spark SQL readers.
     */
-  def compact(): CompactGraph = csr
+  lazy val edges: DataFrame =
+    spark.createDataFrame(blocks.flatMap(b => Iterator.tabulate(b.src.length)(i => (b.src(i).toLong, b.dst(i).toLong))))
+      .toDF("src", "dst")
+}
 
-  private lazy val csr: CompactGraph = {
+object Graph {
+
+  /** The graph whose CSR holds the `(src: bigint, dst: bigint)` rows of
+    * `edges`, in the order one collect of `edges` returns them. Throws if
+    * `numVertices` does not fit in an Int or an endpoint lies outside
+    * `[0, numVertices)`. The table is read once and not kept.
+    */
+  def fromEdges(name: String, directed: Boolean, numVertices: Long, edges: DataFrame): Graph = {
     val n = Math.toIntExact(numVertices)
-    val parts = Graph.internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
+    val parts = internalRows(edges, name, "src" -> LongType, "dst" -> LongType)
       .mapPartitions { rows =>
         val src = ArrayBuilder.make[Long]
         val dst = ArrayBuilder.make[Long]
@@ -74,11 +80,8 @@ final case class Graph(
         j += 1
       }
     }
-    new CompactGraph(n, src, dst, directed)
+    new Graph(name, directed, new CompactGraph(n, src, dst, directed), edges.sparkSession)
   }
-}
-
-object Graph {
 
   /** The `cols` of `df` as Catalyst rows, read with no per-row
     * deserializer. Throws unless each column has its given type, since an

@@ -11,6 +11,11 @@ import org.apache.spark.sql.types._
   *     wiki / collaboration networks (HW, EN, EU, OR analogs);
   *   - [[grid]]: a 2-D lattice with a sprinkle of shortcut edges for the
   *     road network (DI analog) — low max degree, low skew, high diameter.
+  *
+  * Each generator builds its edge table in Spark, collects it once into
+  * the returned [[Graph]]'s driver CSR ([[Graph.fromEdges]]) and
+  * unpersists every table it cached, so Spark keeps no copy of the graph.
+  * Sizes the Int-indexed CSR cannot hold are refused before any Spark job.
   */
 object GraphGen {
 
@@ -55,8 +60,8 @@ object GraphGen {
     *
     * @param numV     number of vertices (ids dense in [0, numV))
     * @param numE     target edge count, reached via at most 8 seeded rounds;
-    *                 throws up front if it exceeds the vertex pairs, and
-    *                 if the rounds end short of it
+    *                 throws up front if it exceeds the vertex pairs or the
+    *                 CSR, and if the rounds end short of it
     * @param alpha    zipf exponent for endpoint draw (≈0.7 mild … ≈1.2 heavy)
     * @param locality fraction of edges drawn from the local neighborhood
     */
@@ -70,6 +75,8 @@ object GraphGen {
       seed: Long,
       locality: Double = 0.6,
   ): Graph = {
+    require(numV <= Int.MaxValue && numE <= Int.MaxValue,
+      s"powerLaw $name: numV = $numV, numE = $numE; the Int-indexed CSR holds at most ${Int.MaxValue}")
     val pairs = if (directed) numV * (numV - 1) else numV * (numV - 1) / 2
     require(numE <= pairs, s"powerLaw $name: numE = $numE exceeds the $pairs vertex pairs of $numV vertices")
     // Skewed draws collapse heavily under dedup (hub-hub pairs repeat), so
@@ -110,25 +117,18 @@ object GraphGen {
     }
     val rounds = scala.collection.mutable.ArrayBuffer(
       chunk(seed, (numE * 1.5).toLong).dropDuplicates("src", "dst").cache())
-    var have = rounds.last.count()
-    while (have < numE && rounds.length < 8) {
-      rounds += rounds.last
-        .union(chunk(seed + 1000L * rounds.length, (numE * 1.5).toLong))
-        .dropDuplicates("src", "dst")
-        .cache()
-      have = rounds.last.count()
-    }
-    if (have < numE) {
-      rounds.foreach(_.unpersist())
-      throw new IllegalArgumentException(
-        s"powerLaw $name: $have distinct edges after ${rounds.length} rounds, short of numE = $numE")
-    }
-    // Materialize the result before releasing the rounds it was built from,
-    // so that unpersisting them neither drops nor recomputes it.
-    val trimmed = rounds.last.orderBy("src", "dst").limit(numE.toInt).cache()
-    trimmed.count()
-    rounds.foreach(_.unpersist())
-    Graph(name, directed, numV, trimmed)
+    try {
+      var have = rounds.last.count()
+      while (have < numE && rounds.length < 8) {
+        rounds += rounds.last
+          .union(chunk(seed + 1000L * rounds.length, (numE * 1.5).toLong))
+          .dropDuplicates("src", "dst")
+          .cache()
+        have = rounds.last.count()
+      }
+      require(have >= numE, s"powerLaw $name: $have distinct edges after ${rounds.length} rounds, short of numE = $numE")
+      Graph.fromEdges(name, directed, numV, rounds.last.orderBy("src", "dst").limit(numE.toInt))
+    } finally rounds.foreach(_.unpersist())
   }
 
   /** Road-network analog: rows×cols lattice (right + down edges) plus
@@ -148,6 +148,9 @@ object GraphGen {
       seed: Long,
   ): Graph = {
     val numV = rows * cols
+    val maxE = 2 * numV - rows - cols + extra
+    require(numV <= Int.MaxValue && maxE <= Int.MaxValue,
+      s"grid $name: numV = $numV, up to $maxE edges; the Int-indexed CSR holds at most ${Int.MaxValue}")
     val ids = spark.range(numV).toDF("vid")
     val right = ids
       .filter(pmod(col("vid"), lit(cols)) =!= (cols - 1))
@@ -161,11 +164,14 @@ object GraphGen {
       .orderBy("h", "vid")
       .limit(extra.toInt)
       .select(col("vid") as "src", (col("vid") + cols + 1) as "dst")
+    // Cached through the collect: the cache keeps the shuffle's partitioning,
+    // and the CSR's edge order depends on it until the lattice is emitted
+    // in (src, dst) order with no shuffle.
     val edges = right
       .union(down)
       .union(diag)
       .dropDuplicates("src", "dst")
       .cache()
-    Graph(name, directed, numV, edges)
+    try Graph.fromEdges(name, directed, numV, edges) finally edges.unpersist()
   }
 }

@@ -9,8 +9,8 @@ import repro.graph._
 import repro.metrics._
 import repro.partition._
 
-/** One paper-graph analog: its edge table (cached in Spark), its driver CSR
-  * and its training mask ([[GraphOps.trainMask]]).
+/** One paper-graph analog: the [[Graph]], its driver CSR and its training
+  * mask ([[GraphOps.trainMask]]). Spark holds no copy of it.
   */
 final case class StudyGraph(g: Graph, cg: CompactGraph, mask: Array[Boolean]) {
   val trainVerts: Long = mask.count(identity).toLong

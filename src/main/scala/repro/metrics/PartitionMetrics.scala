@@ -51,7 +51,7 @@ final case class VertexCutQuality(
   * outside `[0, |V|)` instead of indexing it. The driver then throws an
   * `IllegalArgumentException` that names the first such row, rather than a
   * task failing with a wrapped `SparkException`. The blocks need no such
-  * check: [[Graph.compact]] has checked their endpoints.
+  * check: [[Graph.fromEdges]] has checked their endpoints.
   *
   * DataFrames are read through `queryExecution.toRdd`, as Catalyst rows
   * with no deserializer, so no SQL execution is recorded per call: Spark's
@@ -116,7 +116,7 @@ object PartitionMetrics {
     * The book, a `vid`-indexed part array, is broadcast, as DistDGL
     * replicates its book on every machine; it is destroyed after the pass.
     * Throws unless `vertexDf` gives every vertex in `[0, |V|)` exactly one
-    * row with a part in `[0, k)`, and where [[Graph.compact]] throws.
+    * row with a part in `[0, k)`.
     */
   def vertexCutQuality(
       g: Graph,

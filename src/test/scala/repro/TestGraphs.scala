@@ -3,18 +3,15 @@ package repro
 import org.apache.spark.sql.SparkSession
 import repro.graph.{CompactGraph, Graph, GraphGen}
 
-/** Small deterministic graphs shared by the unit-test suites (memoized so
-  * the expensive generation + collect happens once per JVM).
+/** Small deterministic graphs shared by the unit-test suites, each with
+  * its driver CSR (memoized so the generation happens once per JVM; Spark
+  * keeps no copy of them).
   */
 object TestGraphs {
   private val cache = scala.collection.concurrent.TrieMap.empty[String, (Graph, CompactGraph)]
 
   private def memo(key: String)(mk: => Graph): (Graph, CompactGraph) =
-    cache.getOrElseUpdate(key, {
-      val g = mk
-      g.edges.cache().count()
-      (g, g.compact())
-    })
+    cache.getOrElseUpdate(key, { val g = mk; (g, g.compact()) })
 
   /** ~500 vertices / ~3000 edges, skewed, undirected. */
   def smallPowerLaw(spark: SparkSession): (Graph, CompactGraph) =

@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.{SparkSpec, TestGraphs}
 
 class GraphGenSpec extends SparkSpec {
@@ -63,9 +62,7 @@ class GraphGenSpec extends SparkSpec {
       try {
         spark.conf.set(conf, parallelism.toLong)
         val g = GraphGen.powerLaw(spark, "P", 200, 800, 0.9, directed = true, seed = 5)
-        val edges = g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-        g.edges.unpersist()
-        edges
+        g.edges.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
       } finally spark.conf.unset(conf)
     val (a, b) = (edgesAt(2), edgesAt(7))
     // compare counts, so that a failure does not print both edge sets
@@ -73,13 +70,34 @@ class GraphGenSpec extends SparkSpec {
     assert(differ === 0, s"edges differ between the two graphs of ${a.size} and ${b.size} edges")
   }
 
-  test("powerLaw: only the returned edge table stays cached") {
-    val before = spark.sparkContext.getPersistentRDDs.keySet
+  test("generators leave no RDD persisted, also when they throw") {
+    def persisted = spark.sparkContext.getPersistentRDDs.keySet
+    val before = persisted
     // 1000 of the 1770 possible edges on 60 vertices: the first round's
     // skewed draws collapse under dedup below the target, so a top-up round runs.
-    val g = GraphGen.powerLaw(spark, "T", 60, 1000, 0.9, directed = false, seed = 9)
-    assert((spark.sparkContext.getPersistentRDDs.keySet -- before).size === 1)
-    assert(g.edges.storageLevel !== StorageLevel.NONE)
+    GraphGen.powerLaw(spark, "T", 60, 1000, 0.9, directed = false, seed = 9)
+    assert(persisted === before)
+    // all 1770 pairs of 60 vertices: the rounds end short of them and throw
+    val e = intercept[IllegalArgumentException](GraphGen.powerLaw(spark, "ALL", 60, 1770, 0.9, directed = false, seed = 9))
+    assert(e.getMessage.contains("after 8 rounds"), e.getMessage)
+    assert(persisted === before)
+    GraphGen.grid(spark, "G", 10, 10, 5, directed = true, seed = 1)
+    assert(persisted === before)
+  }
+
+  test("generators refuse sizes the CSR cannot hold before starting a Spark job") {
+    val big = Int.MaxValue + 1L // 65536 × 32768
+    val refused = Seq(
+      "numV = 2147483648" -> (() => GraphGen.powerLaw(spark, "PV", big, 100, 0.9, directed = true, seed = 1)),
+      "numV = 2147483648" -> (() => GraphGen.grid(spark, "GV", 65536, 32768, 0, directed = true, seed = 1)),
+      "up to 2147483828 edges" -> (() => GraphGen.grid(spark, "GX", 10, 10, big, directed = true, seed = 1)),
+    )
+    for ((want, generate) <- refused) {
+      var e: IllegalArgumentException = null
+      val (jobs, _) = sparkWork { e = intercept[IllegalArgumentException](generate()) }
+      assert(jobs.isEmpty, s"tasks per job: $jobs")
+      assert(e.getMessage.contains(want) && e.getMessage.contains("Int-indexed CSR"), e.getMessage)
+    }
   }
 
   test("powerLaw: throws when its rounds end short of the edge target") {

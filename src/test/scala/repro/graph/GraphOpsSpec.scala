@@ -50,16 +50,14 @@ class GraphOpsSpec extends SparkSpec {
 
   test("compact fails loudly when numVertices does not fit in an Int") {
     val noEdges = spark.range(0).select(col("id") as "src", col("id") as "dst")
-    val g = Graph("huge", directed = true, Int.MaxValue + 1L, noEdges)
-    intercept[ArithmeticException](g.compact())
+    intercept[ArithmeticException](Graph.fromEdges("huge", directed = true, Int.MaxValue + 1L, noEdges))
   }
 
   test("compact fails loudly on an endpoint outside [0, numVertices)") {
     import spark.implicits._
     // 4294967297 would narrow to vertex 1 if it were cast to Int unchecked.
     for (bad <- Seq(4L, 4294967297L)) {
-      val g = Graph("bad", directed = true, 4, Seq((0L, bad)).toDF("src", "dst"))
-      val e = intercept[IllegalArgumentException](g.compact())
+      val e = intercept[IllegalArgumentException](Graph.fromEdges("bad", directed = true, 4, Seq((0L, bad)).toDF("src", "dst")))
       assert(e.getMessage.contains(s"(0, $bad)"))
     }
   }

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.LongType
 import repro.{SparkSpec, TestGraphs}
 import repro.partition.PartitionBridge
 
@@ -16,8 +17,11 @@ class GraphSpec extends SparkSpec {
       // the concatenated blocks are the CSR's edges, in order
       assert(blocks.flatMap(_.src).toSeq === cg.src.toSeq)
       assert(blocks.flatMap(_.dst).toSeq === cg.dst.toSeq)
-      val want = g.edges.select("src", "dst").collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).sorted
-      assert(edgePairs(cg.src, cg.dst).sorted === want.toSeq)
+      // and so are the rows of g.edges
+      assert(g.edges.schema.map(f => f.name -> f.dataType) === Seq("src" -> LongType, "dst" -> LongType))
+      val rows = g.edges.collect()
+      assert(rows.map(_.getLong(0)).toSeq === cg.src.map(_.toLong).toSeq)
+      assert(rows.map(_.getLong(1)).toSeq === cg.dst.map(_.toLong).toSeq)
     }
   }
 
@@ -32,19 +36,21 @@ class GraphSpec extends SparkSpec {
     assert(blocks.toSeq === bridged.toSeq)
   }
 
-  test("blocks throw on an edge endpoint equal to |V|, naming the edge") {
+  test("fromEdges throws on an edge endpoint equal to |V|, naming the edge") {
     val (g, _) = TestGraphs.smallPowerLaw(spark)
-    val bad = g.copy(edges = g.edges.union(spark.range(1).select(lit(g.numVertices) as "src", lit(0L) as "dst")))
-    val e = intercept[IllegalArgumentException](bad.blocks)
+    val edges = g.edges.union(spark.range(1).select(lit(g.numVertices) as "src", lit(0L) as "dst"))
+    val e = intercept[IllegalArgumentException](Graph.fromEdges("bad", g.directed, g.numVertices, edges))
     assert(e.getMessage.contains(s"edge (${g.numVertices}, 0)"), e.getMessage)
   }
 
-  test("a copy with other edges does not reuse the parent's blocks") {
+  test("fromEdges over a subset of g.edges holds that subset, in its own blocks") {
     val (g, _) = TestGraphs.smallWeb(spark)
-    g.blocks.count()
-    val fewer = g.copy(edges = g.edges.filter(col("src") =!= 0))
+    val edges = g.edges.filter(col("src") =!= 0)
+    val fewer = Graph.fromEdges("fewer", g.directed, g.numVertices, edges)
+    val want = edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt)).toSeq
+    assert(want.length < g.numEdges)
+    assert(edgePairs(fewer.compact().src, fewer.compact().dst) === want)
     assert(fewer.blocks.id != g.blocks.id)
-    assert(fewer.blocks.map(_.src.length.toLong).sum() === fewer.edges.count())
-    assert(fewer.edges.count() < g.numEdges)
+    assert(fewer.blocks.collect().flatMap(b => edgePairs(b.src, b.dst)).toSeq === want)
   }
 }
